@@ -27,7 +27,7 @@
 
 use simpush::{Config, SimPush};
 use simrank_eval::scenario::{
-    calibrate, catalog, run_scenario, ArrivalShape, KeyDist, Scenario, ScenarioReport,
+    calibrate, catalog, run_scenario, ArrivalShape, Calibration, KeyDist, Scenario, ScenarioReport,
     ScenarioScale,
 };
 use simrank_graph::{gen, GraphView};
@@ -38,6 +38,10 @@ struct BinScale {
     nodes: usize,
     out_deg: usize,
     epsilon: f64,
+    /// Shortest span an open loop's arrivals may be scheduled over: the
+    /// capacity the load factors scale from is capped at
+    /// `requests / min_window` (`None` = use the calibrated capacity as is).
+    min_window: Option<Duration>,
     scenario: ScenarioScale,
 }
 
@@ -45,6 +49,7 @@ const FULL: BinScale = BinScale {
     nodes: 20_000,
     out_deg: 8,
     epsilon: 0.02,
+    min_window: None,
     scenario: ScenarioScale {
         requests: 2_400,
         min_updates: 64,
@@ -62,11 +67,17 @@ const FULL: BinScale = BinScale {
 
 /// CI scale: tiny graph, short scenarios — enough to exercise every
 /// catalog entry, the writer, admission and the JSON schema end to end in
-/// a few seconds.
+/// a few seconds. A query on this graph takes microseconds: scaled from the
+/// calibrated capacity the 160 arrivals would be due within 4 ms, tens of
+/// microseconds apart, which no sleeping load generator can pace — the
+/// reject rate then measures scheduler jitter, not admission (and sending
+/// more requests at that rate only measures more of it). So the smoke run
+/// spreads them over a minimum window instead.
 const SMOKE: BinScale = BinScale {
     nodes: 400,
     out_deg: 4,
     epsilon: 0.05,
+    min_window: Some(Duration::from_millis(100)),
     scenario: ScenarioScale {
         requests: 160,
         min_updates: 16,
@@ -197,11 +208,31 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let calibration = calibrate(&engine, &base, &scale.scenario, SCENARIO_SEED);
+    let sizes = &scale.scenario;
+    let measured = calibrate(&engine, &base, sizes, SCENARIO_SEED);
     eprintln!(
         "[scenario_serve] calibrated: capacity {:.0} q/s, mean service {:?}",
-        calibration.capacity_qps, calibration.mean_service
+        measured.capacity_qps, measured.mean_service
     );
+    // What the scenarios scale their load and deadlines from: the measured
+    // calibration, unless arrivals at that rate would not span the minimum
+    // window — then the fastest capacity that does, with the service time
+    // that capacity implies. Both are emitted.
+    let paceable_qps = scale
+        .min_window
+        .map(|window| sizes.requests as f64 / window.as_secs_f64())
+        .filter(|&qps| qps < measured.capacity_qps);
+    let paced = match paceable_qps {
+        Some(qps) => {
+            eprintln!("[scenario_serve] pacing the open loops from {qps:.0} q/s instead");
+            Calibration {
+                capacity_qps: qps,
+                mean_service: Duration::from_secs_f64(sizes.workers as f64 / qps),
+                ..measured
+            }
+        }
+        None => measured,
+    };
 
     let scenarios = catalog();
     let mut reports: Vec<ScenarioReport> = Vec::with_capacity(scenarios.len());
@@ -211,7 +242,7 @@ fn main() {
             &base,
             scenario,
             &scale.scenario,
-            &calibration,
+            &paced,
             SCENARIO_SEED + 100 + i as u64,
         );
         eprintln!(
@@ -253,10 +284,12 @@ fn main() {
     .unwrap();
     writeln!(
         json,
-        "  \"calibration\": {{ \"requests\": {}, \"mean_service_ns\": {}, \"capacity_qps\": {:.1} }},",
-        calibration.requests,
-        ns(calibration.mean_service),
-        calibration.capacity_qps
+        "  \"calibration\": {{ \"requests\": {}, \"mean_service_ns\": {}, \"capacity_qps\": {:.1}, \"paced_mean_service_ns\": {}, \"paced_capacity_qps\": {:.1} }},",
+        measured.requests,
+        ns(measured.mean_service),
+        measured.capacity_qps,
+        ns(paced.mean_service),
+        paced.capacity_qps
     )
     .unwrap();
     writeln!(json, "  \"scenarios\": [").unwrap();

@@ -191,23 +191,27 @@ fn shard_index(key: &CacheKey, shards: usize) -> usize {
 }
 
 /// True when two sorted ascending slices share an element. Iterates the
-/// smaller side and gallops (binary-searches) the larger, so a small
-/// publish delta against a large support set costs `O(t·log s)`.
+/// smaller side and gallops through the larger: from the last position the
+/// step doubles until it passes the probe, then the bracket is
+/// binary-searched. A probe costs `O(log gap)` and stays next to the
+/// previous one, so a publish delta swept against every cached support set
+/// walks each set front to back instead of bisecting it cold every time.
 fn sorted_intersects(a: &[NodeId], b: &[NodeId]) -> bool {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if large.is_empty() {
-        return false;
-    }
-    let mut lo = 0usize;
+    let mut rest = large;
     for &x in small {
-        match large[lo..].binary_search(&x) {
+        // Everything before `lo` is below `x`; `hi` is past it or past the end.
+        let (mut lo, mut hi) = (0usize, 1usize);
+        while hi <= rest.len() && rest[hi - 1] < x {
+            lo = hi;
+            hi *= 2;
+        }
+        match rest[lo..hi.min(rest.len())].binary_search(&x) {
             Ok(_) => return true,
-            Err(pos) => {
-                lo += pos;
-                if lo >= large.len() {
-                    return false;
-                }
-            }
+            Err(pos) => rest = &rest[lo + pos..],
+        }
+        if rest.is_empty() {
+            return false;
         }
     }
     false
@@ -318,10 +322,13 @@ impl AnswerCache {
         &self,
         key: CacheKey,
         computed_epoch: u64,
-        support: Vec<NodeId>,
+        mut support: Vec<NodeId>,
         top: Vec<(NodeId, f64)>,
     ) {
         debug_assert!(support.windows(2).all(|w| w[0] < w[1]), "support sorted");
+        // Entries are resident for as long as their answers stay valid: drop
+        // the growth slack of the list the tracer built (up to half of it).
+        support.shrink_to_fit();
         let entry = Entry {
             key,
             computed_epoch,
@@ -473,7 +480,10 @@ impl Config {
 ///
 /// Why the read set is a sound support set: the engine's pipeline
 /// consults the graph only through `out_neighbors`/`in_neighbors` (and
-/// the fixed `num_nodes`), and it is deterministic given the config and
+/// the fixed `num_nodes`) — degree probes included, which is why this
+/// adaptor leaves `in_degree`/`out_degree` at the trait defaults that
+/// forward to them: Source-Push decides between its exact and its sampled
+/// path on in-degrees alone — and it is deterministic given the config and
 /// per-query seed. If no recorded node's adjacency changed, a replay at
 /// the new epoch reads byte-identical inputs at every step, takes the
 /// same branches, and emits the same answer — so disjointness from a
@@ -710,6 +720,15 @@ mod tests {
             assert_eq!(sorted_intersects(a, b), naive, "a={a:?} b={b:?}");
             assert_eq!(sorted_intersects(b, a), naive, "symmetric");
         }
+        // Every gallop bracket: a long run against one probe at each
+        // position, present (even values) and absent (odd ones).
+        let long: Vec<NodeId> = (0..70).map(|v| 2 * v).collect();
+        for x in 0..142 {
+            let expect = x % 2 == 0 && x < 140;
+            assert_eq!(sorted_intersects(&long, &[x]), expect, "x={x}");
+            assert_eq!(sorted_intersects(&[x, 1_000], &long), expect, "x={x}");
+            assert!(!sorted_intersects(&[1, x | 1, 999], &long), "x={x}");
+        }
     }
 
     #[test]
@@ -760,11 +779,15 @@ mod tests {
         assert_eq!(tracer.in_neighbors(1), g.in_neighbors(1));
         assert_eq!(tracer.in_neighbors(2), g.in_neighbors(2)); // repeat: no dup
         assert_eq!(tracer.out_neighbors(0), g.out_neighbors(0));
+        // A degree probe is a read too: Source-Push's budget pre-scan
+        // branches on in-degrees alone.
+        assert_eq!(tracer.in_degree(3), 1);
+        assert_eq!(tracer.out_degree(5), 0);
         assert_eq!(tracer.num_nodes(), 6);
         assert_eq!(tracer.num_edges(), 3);
         assert_eq!(
             tracer.take_support(),
-            vec![0, 1, 2],
+            vec![0, 1, 2, 3, 5],
             "sorted distinct reads"
         );
     }

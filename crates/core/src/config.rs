@@ -1,16 +1,21 @@
 //! SimPush configuration and derived error parameters.
 
 /// How the maximum attention level `L` is determined (paper Algorithm 2,
-/// lines 1–8).
+/// lines 1–8). Both modes run the same push loop — see the
+/// [`source_push`](crate::source_push) module docs — and differ only in how
+/// many in-edges it may scan before it has to sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LevelDetection {
-    /// Sample √c-walks and take the deepest level where some node's visit
-    /// count crosses the detection threshold (the paper's algorithm;
-    /// guarantees hold with probability `1 − δ`).
+    /// Push exactly within an edge budget of an eighth of the walk budget;
+    /// past it, sample residual √c-walks from the last exact frontier and
+    /// take the deepest level where some node's visit count crosses the
+    /// detection threshold (the paper's algorithm applied to the unresolved
+    /// part of the walk tree; guarantees hold with probability `1 − δ`).
     MonteCarlo,
-    /// Push all `L*` levels and derive attention sets exactly. Slower, but
-    /// the `ε` bound becomes deterministic — used by the test-suite oracles
-    /// and available to latency-insensitive callers.
+    /// No edge budget: push until no deeper node can reach `ε_h` and derive
+    /// attention sets exactly. Slower on hub frontiers, but the `ε` bound
+    /// becomes deterministic — used by the test-suite oracles and available
+    /// to latency-insensitive callers.
     Exact,
 }
 
@@ -23,7 +28,8 @@ pub enum McBudget {
     /// with probability `≤ exp(−R·ε_h/8) ≤ (1−√c)·ε_h·δ`; union-bounding
     /// over the `≤ √c/((1−√c)·ε_h)` attention nodes gives total failure
     /// `≤ δ`). This is the default: it reproduces the realtime latencies the
-    /// paper reports. See DESIGN.md §1 for the discussion.
+    /// paper reports. The [`source_push`](crate::source_push) module docs
+    /// carry the argument over to residual walks.
     Chernoff,
     /// `R = 2·ln(1/((1−√c)·ε_h·δ))/ε_h²` — the paper's stated formula
     /// (Hoeffding-based, additive `ε_h/2` accuracy on every hitting
@@ -48,9 +54,9 @@ pub struct Config {
     pub level_detection: LevelDetection,
     /// Walk budget for Monte-Carlo detection.
     pub mc_budget: McBudget,
-    /// Multiplier on the Monte-Carlo walk count (1.0 = theory). Lets the
-    /// experiment harness trade detection confidence for speed explicitly
-    /// rather than silently.
+    /// Multiplier on the Monte-Carlo walk budget (1.0 = theory), and with it
+    /// on the edge budget of the exact phase. Lets the experiment harness
+    /// trade detection confidence for speed explicitly rather than silently.
     pub walk_budget_factor: f64,
     /// Master seed for the sampling stage.
     pub seed: u64,
@@ -138,7 +144,11 @@ impl Config {
         (sc / ((1.0 - sc) * self.eps_h())).floor() as usize
     }
 
-    /// Number of √c-walks sampled for Monte-Carlo level detection.
+    /// The Monte-Carlo level-detection walk budget `R`: the number of
+    /// √c-walks the paper's detector draws from the query node. Source-Push
+    /// scans up to `R / 8` in-edges exactly first and draws only
+    /// `≈ R × (mass on its last exact frontier)` residual walks if that was
+    /// not enough (see the [`source_push`](crate::source_push) module docs).
     pub fn num_detection_walks(&self) -> usize {
         let sc = self.sqrt_c();
         let eps_h = self.eps_h();
@@ -183,7 +193,7 @@ mod tests {
         let rc = chernoff.num_detection_walks();
         let rh = hoeffding.num_detection_walks();
         assert!(rc * 20 < rh, "chernoff {rc} vs hoeffding {rh}");
-        // Ballparks from the DESIGN.md derivation.
+        // Ballpark of the `McBudget::Chernoff` formula at ε = 0.02.
         assert!((60_000..90_000).contains(&rc), "chernoff walks {rc}");
     }
 

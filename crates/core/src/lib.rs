@@ -24,10 +24,12 @@
 //!
 //! # Pipeline (paper §3–4)
 //!
-//! 1. [`source_push`](source_push::source_push) — samples √c-walks to detect
-//!    the max useful level `L`, then pushes hitting probabilities
-//!    `h^(ℓ)(u,·)` level by level along in-edges, recording the *source
-//!    graph* `Gu` and the *attention nodes* (`h ≥ ε_h`).
+//! 1. [`source_push`](source_push::source_push) — pushes hitting
+//!    probabilities `h^(ℓ)(u,·)` level by level along in-edges, recording
+//!    the *source graph* `Gu` and the *attention nodes* (`h ≥ ε_h`). The
+//!    push detects the max useful level `L` itself — exactly while it stays
+//!    within an edge budget, from residual √c-walks past it (see the
+//!    [`source_push`] module docs).
 //! 2. [`hitting`] + [`gamma`] — computes hitting probabilities between
 //!    attention nodes *inside* `Gu` and from them the last-meeting
 //!    corrections `γ^(ℓ)(w)` via the first-meeting recursion, with no

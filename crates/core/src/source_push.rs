@@ -1,23 +1,116 @@
 //! Stage 1: Source-Push (paper Algorithm 2).
 //!
-//! Detects the maximum useful level `L`, then pushes hitting probabilities
-//! `h^(ℓ)(u, ·)` from the query node along **in**-edges for `L` levels,
-//! producing the source graph `Gu` and the per-level attention sets.
+//! Pushes hitting probabilities `h^(ℓ)(u, ·)` from the query node along
+//! **in**-edges, level by level, producing the source graph `Gu` and the
+//! per-level attention sets — and decides, inside the same loop, how deep
+//! the push has to go.
+//!
+//! # The push is its own level detector
+//!
+//! The paper learns the maximum useful level `L` first, from
+//! `R = `[`Config::num_detection_walks`] independent √c-walks (Alg. 2 lines
+//! 1–8; 69,879 of them at ε = 0.02), and pushes afterwards. On almost every
+//! query the push that follows touches a few hundred `Gu` entries over two
+//! or three levels and computes exactly what the walks estimated. So the
+//! loop here pushes first and samples only what the push could not afford:
+//!
+//! * **Mass bound (when to stop).** Let `M = Σ_w h^(ℓ)(u, w)` be the mass
+//!   that arrived on the level just pushed. A √c-walk survives a step with
+//!   probability at most `√c`, so every deeper level carries at most `√c·M`
+//!   in total and no node on it can hold more. Once `√c·M < ε_h` no deeper
+//!   node can be an attention node (`h ≥ ε_h`), every deeper level would be
+//!   trimmed, and the push stops for good. The bound is deterministic — it
+//!   is Lemma 2's `√c^ℓ < ε_h` cap with the measured mass in place of the
+//!   worst case — and it is on *mass*, not on attention: a level of many
+//!   thin nodes (none reaching `ε_h`) whose mass reconcentrates on one node
+//!   a level later does not stop it. The comparison keeps a relative margin
+//!   of `1e-9` so the order of floating-point summation can never make it
+//!   fire where a full push would have found an attention node.
+//! * **Edge budget (when exactness stops being cheap).** Before a level is
+//!   pushed, the in-degrees of its frontier are summed through the same
+//!   [`GraphView`] (so a traced view records the reads the decision rests
+//!   on). The push goes ahead while the in-edges scanned so far plus that
+//!   sum stay within `R / 8` ([`detection_edge_budget`]). A scanned edge costs
+//!   a map add where a walk costs an RNG draw, an adjacency lookup and a
+//!   hash bump per step for ≈3.4 steps, so a budget's worth of edges is a
+//!   few percent of what `R` walks cost — and the levels it buys are levels
+//!   of `Gu` the push needed anyway; all a fallback query pays extra is the
+//!   degree pre-scan. A
+//!   `/1 … /128` sweep of the divisor (mean stage-1 time over 1,000 uniform
+//!   keys at ε = 0.02) was flat between `/4` and `/32` with its minimum at
+//!   `/8` — 35 µs against 67 µs at `/1` and 65 µs at `/128` on the
+//!   benchmark's web-200k, 570 µs against 755 µs and 675 µs on web-1m:
+//!   smaller divisors let hub frontiers burn more than the walks cost,
+//!   larger ones send cheap queries to the sampler. Hence a documented
+//!   constant, not a knob.
+//! * **Residual walks (past the budget).** When level `ℓ₀ + 1` would break
+//!   the budget, the frontier of level `ℓ₀` is exact and only the walk
+//!   tree beyond it is still unknown: each frontier node `v` starts
+//!   `⌈R·h^(ℓ₀)(u, v)⌉` walks of at most `L* − ℓ₀` steps
+//!   ([`LevelVisits::sample_residual_into`](simrank_walks::LevelVisits::sample_residual_into)),
+//!   tallied at their absolute levels against the unchanged threshold
+//!   `⌈ε_h·R/2⌉` ([`Config::detection_threshold`]). The push then continues
+//!   to the deepest level on which some count reaches it, as the paper's
+//!   does. `ℓ₀ = 0` — the query node's own in-degree exceeds the budget —
+//!   is the paper's algorithm, walk for walk.
+//! * **Why the guarantee carries over.** A visit count on level `ℓ` is a
+//!   sum of independent Bernoullis with mean
+//!   `Σ_v ⌈R·h^(ℓ₀)(u, v)⌉·h^(ℓ−ℓ₀)(v, w) ≥ R·h^(ℓ)(u, w)`. For a node with
+//!   `h ≥ ε_h` the mean `μ` is at least `ε_h·R`, the threshold at most
+//!   `μ/2`, and the multiplicative Chernoff lower tail gives a miss
+//!   probability `≤ exp(−μ/8) ≤ exp(−ε_h·R/8)` — the inequality
+//!   [`McBudget::Chernoff`](crate::config::McBudget::Chernoff) sizes `R`
+//!   with, so the union bound over the `≤ √c/((1−√c)·ε_h)` attention nodes
+//!   and the failure probability `δ` are unchanged.
+//! * **What comes out.** Levels past the deepest attention level are trimmed
+//!   either way, so whenever the exact phase settles the result *is*
+//!   [`LevelDetection::Exact`]'s, and otherwise it equals it with
+//!   probability `≥ 1 − δ`. `Exact` runs this loop with an unlimited budget
+//!   (and, thanks to the mass bound, no longer pays for all `L*` levels);
+//!   [`LevelDetection::MonteCarlo`] differs from it in the budget only.
+//!
+//! Measured at ε = 0.02 on the benchmark's copying-web graphs, 1,000 uniform
+//! keys each: on web-1m 9.3% of the queries fall back to sampling, at a mean
+//! of 14.8k walks each; on web-200k 3.0%, at 8.8k. The rest draw none.
+//!
+//! That share is a property of the graph: the mass bound fires early only
+//! where mass dies at source nodes, as it does on web graphs. Where no walk
+//! ever dies (`gnm` at average degree 10: mass decays by exactly `√c` a
+//! level) every query runs out of budget first and samples, `R·√c^ℓ₀` walks
+//! instead of `R` — the steps it saves are the first `ℓ₀` of each walk, the
+//! cheap ones, so such a query costs what the paper's did, not less: 0.79×
+//! of it on `gnm(200k, 2M)`, 0.98× on `rmat` social (CHANGES.md § PR 17).
 
 use crate::config::{Config, LevelDetection};
 use crate::source_graph::{Level, SourceGraph};
 use crate::workspace::SourcePushScratch;
-use simrank_common::NodeId;
+use simrank_common::{NodeId, Timer};
 use simrank_graph::GraphView;
 use simrank_walks::WalkParams;
+use std::time::Duration;
+
+/// In-edges the exact phase of Monte-Carlo detection may scan before it
+/// falls back to residual walks: an eighth of the walk budget
+/// `R = `[`Config::num_detection_walks`]; see the [module docs](self) for
+/// why 8.
+pub fn detection_edge_budget(cfg: &Config) -> usize {
+    cfg.num_detection_walks() / 8
+}
+
+/// Relative safety margin of the mass bound against floating-point
+/// summation order (see the [module docs](self)).
+const MASS_BOUND_MARGIN: f64 = 1.0 - 1e-9;
 
 /// Result of Source-Push, with the sampling statistics the paper reports.
 pub struct SourcePushOutput {
     /// The source graph `Gu` (levels `0..=L` after trimming).
     pub gu: SourceGraph,
-    /// Number of √c-walks sampled for level detection (0 in exact mode).
+    /// Residual √c-walks actually started for level detection: 0 whenever
+    /// the exact phase settled the depth (always, in exact mode).
     pub num_walks: usize,
-    /// Level reported by the detector before the attention-based trim.
+    /// Time spent inside the walk sampler (zero when no walk was drawn).
+    pub time_sampling: Duration,
+    /// Levels actually pushed, before the attention-based trim.
     pub detected_level: usize,
 }
 
@@ -54,35 +147,9 @@ pub fn source_push_with<G: GraphView>(
         "query node {u} outside graph with {n} nodes"
     );
     let l_star = cfg.l_star();
-
-    // Lines 1–8: determine how deep to push.
-    let (target_level, num_walks) = match cfg.level_detection {
-        LevelDetection::Exact => (l_star, 0),
-        LevelDetection::MonteCarlo => {
-            let walks = cfg.num_detection_walks();
-            let SourcePushScratch {
-                visits, walk_buf, ..
-            } = &mut *ws;
-            visits.sample_into(
-                g,
-                u,
-                WalkParams::new(cfg.c),
-                walks,
-                l_star,
-                cfg.seed,
-                walk_buf,
-            );
-            let threshold = cfg.detection_threshold(walks);
-            (
-                ws.visits.deepest_level_with_count(threshold).min(l_star),
-                walks,
-            )
-        }
-    };
-
-    // Lines 9–21: level-wise residue propagation along in-edges.
     let eps_h = cfg.eps_h();
     let sqrt_c = cfg.sqrt_c();
+
     let mut levels = std::mem::take(&mut ws.levels_buf);
     debug_assert!(levels.is_empty(), "levels spine must come back recycled");
     let mut level0 = ws.take_map(n);
@@ -92,9 +159,56 @@ pub fn source_push_with<G: GraphView>(
         attention: ws.take_attention(), // trivial ℓ = 0 excluded (Eq. 7)
     });
 
-    for ell in 0..target_level {
+    // In-edges the exact phase may still scan; `None` is "no limit" — exact
+    // mode from the start, Monte-Carlo mode once the walks have spoken.
+    let mut edges_left = match cfg.level_detection {
+        LevelDetection::Exact => None,
+        LevelDetection::MonteCarlo => Some(detection_edge_budget(cfg)),
+    };
+    let mut target_level = l_star;
+    let mut num_walks = 0;
+    let mut time_sampling = Duration::ZERO;
+
+    // Level-wise residue propagation along in-edges (Alg. 2 lines 9–21),
+    // deciding its own depth on the way (lines 1–8; see the module docs).
+    while levels.len() <= target_level {
+        let ell = levels.len() - 1;
+        let frontier = &levels[ell].h;
+
+        if let Some(left) = edges_left {
+            let mut next_edges = 0usize;
+            for (v, _) in frontier.iter() {
+                next_edges += g.in_degree(v);
+                if next_edges > left {
+                    break;
+                }
+            }
+            edges_left = left.checked_sub(next_edges);
+            if edges_left.is_none() {
+                // Level ℓ+1 would break the budget: sample the unresolved
+                // rest of the walk tree from this frontier instead.
+                let walk_budget = cfg.num_detection_walks();
+                let t = Timer::start();
+                ws.visits.sample_residual_into(
+                    g,
+                    frontier.iter(),
+                    ell,
+                    WalkParams::new(cfg.c),
+                    walk_budget,
+                    l_star,
+                    cfg.seed,
+                    &mut ws.walk_buf,
+                );
+                time_sampling = t.elapsed();
+                num_walks = ws.visits.num_walks;
+                let threshold = cfg.detection_threshold(walk_budget);
+                target_level = ws.visits.deepest_level_with_count(threshold).max(ell);
+                continue;
+            }
+        }
+
         let mut next = ws.take_map(n);
-        for (v, h) in levels[ell].h.iter() {
+        for (v, h) in frontier.iter() {
             let ins = g.in_neighbors(v);
             if ins.is_empty() {
                 continue; // √c-walks die at source nodes
@@ -109,16 +223,33 @@ pub fn source_push_with<G: GraphView>(
             break; // frontier exhausted (pure-source level)
         }
         let mut attention = ws.take_attention();
-        attention.extend(next.iter().filter(|&(_, h)| h >= eps_h).map(|(w, _)| w));
+        let mut mass = 0.0;
+        for (w, h) in next.iter() {
+            mass += h;
+            if h >= eps_h {
+                attention.push(w);
+            }
+        }
         attention.sort_unstable();
         levels.push(Level { h: next, attention });
+        if sqrt_c * mass < eps_h * MASS_BOUND_MARGIN {
+            break; // no deeper node can reach ε_h
+        }
     }
+    let detected_level = levels.len() - 1;
 
     // Trailing levels without attention nodes cannot contribute to any
     // estimate (no residue seeds, no attention meetings), so trim them; this
     // keeps the later stages' level loops tight without changing the result.
-    while levels.len() > 1 && levels.last().unwrap().attention.is_empty() {
-        ws.put_level(levels.pop().unwrap());
+    // Level 0's attention list is empty by construction and always stays.
+    // Deepest first, like `SourcePushScratch::recycle`: the pool then hands
+    // every level of the next query the map that level used in this one.
+    let keep = levels
+        .iter()
+        .rposition(|level| !level.attention.is_empty())
+        .map_or(1, |deepest| deepest + 1);
+    for level in levels.drain(keep..).rev() {
+        ws.put_level(level);
     }
 
     SourcePushOutput {
@@ -128,7 +259,8 @@ pub fn source_push_with<G: GraphView>(
             universe: n,
         },
         num_walks,
-        detected_level: target_level,
+        time_sampling,
+        detected_level,
     }
 }
 
@@ -227,13 +359,78 @@ mod tests {
     }
 
     #[test]
-    fn detection_walk_count_is_reported() {
+    fn settled_exact_phase_draws_no_walks() {
+        // Four in-edges in the whole graph: the budget is never in sight, the
+        // push settles its own depth and the sampler is never called.
         let g = shapes::cycle(4);
         let cfg = Config::new(0.05);
         let out = source_push(&g, 0, &cfg);
-        assert_eq!(out.num_walks, cfg.num_detection_walks());
+        assert_eq!(out.num_walks, 0);
+        assert_eq!(out.time_sampling, Duration::ZERO);
         let exact = source_push(&g, 0, &Config::exact(0.05));
         assert_eq!(exact.num_walks, 0);
+        assert_eq!(out.detected_level, exact.detected_level);
+        assert_eq!(out.gu.max_level(), exact.gu.max_level());
+    }
+
+    /// `u = 0` ← `fan` middle nodes ← the same `width` sources each.
+    fn two_level_fan(fan: u32, width: u32) -> simrank_graph::CsrGraph {
+        let mut edges = Vec::new();
+        for mid in 1..=fan {
+            edges.push((mid, 0));
+            edges.extend((0..width).map(|src| (fan + 1 + src, mid)));
+        }
+        simrank_graph::GraphBuilder::new().with_edges(edges).build()
+    }
+
+    #[test]
+    fn fallback_walk_count_follows_the_frontier_mass() {
+        // Level 0 costs 100 in-edges, level 1 would cost 100·40 more than
+        // the budget has left: the push falls back at ℓ₀ = 1 with 100
+        // frontier nodes holding √c in total.
+        let g = two_level_fan(100, 40);
+        let cfg = Config::new(0.05);
+        assert!((100..100 + 100 * 40).contains(&detection_edge_budget(&cfg)));
+        let out = source_push(&g, 0, &cfg);
+        let frontier = &out.gu.levels[1].h;
+        let mass: f64 = frontier.iter().map(|(_, h)| h).sum();
+        assert!(close(mass, SQRT_C));
+        let floor = (cfg.num_detection_walks() as f64 * mass).ceil() as usize;
+        assert!(
+            (floor..=floor + frontier.len()).contains(&out.num_walks),
+            "{} walks for mass {mass} over {} nodes",
+            out.num_walks,
+            frontier.len()
+        );
+        assert!(out.time_sampling > Duration::ZERO);
+        // The 40 sources hold c/40 each, found by the residual walks.
+        assert_eq!(out.gu.max_level(), 2);
+        assert_eq!(out.gu.levels[2].attention.len(), 40);
+    }
+
+    #[test]
+    fn hub_query_is_the_papers_algorithm_walk_for_walk() {
+        // The query node's own in-degree exceeds the budget: ℓ₀ = 0, exactly
+        // R walks from u, tallied as `LevelVisits::sample` tallies them.
+        let g = shapes::star_in(4_000);
+        let cfg = Config::new(0.05);
+        let walks = cfg.num_detection_walks();
+        assert!(g.in_degree(0) > detection_edge_budget(&cfg));
+        let mut ws = SourcePushScratch::default();
+        let out = source_push_with(&g, 0, &cfg, &mut ws);
+        assert_eq!(out.num_walks, walks);
+        let paper = simrank_walks::LevelVisits::sample(
+            &g,
+            0,
+            WalkParams::new(cfg.c),
+            walks,
+            cfg.l_star(),
+            cfg.seed,
+        );
+        assert_eq!(ws.visits.levels, paper.levels);
+        // Every leaf holds √c/3999 < ε_h: nothing detected, nothing pushed.
+        assert_eq!(out.detected_level, 0);
+        assert_eq!(out.gu.max_level(), 0);
     }
 
     #[test]

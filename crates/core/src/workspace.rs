@@ -4,7 +4,8 @@
 //! A cold [`SimPush::query`](crate::SimPush::query) rebuilds its entire
 //! working set from scratch — per-level [`HybridMap`]s for `Gu`, nested row
 //! maps for the attention-hitting stage, residue maps and a dense score
-//! vector for Reverse-Push, plus the level-detection walk buffers. For a
+//! vector for Reverse-Push, plus the level-detection walk buffers (used only
+//! by queries that fall back to sampling). For a
 //! serving loop answering queries back to back, that allocation churn is the
 //! dominant self-inflicted cost. `QueryWorkspace` owns all of that state and
 //! survives across queries: every stage borrows its buffers from the
@@ -73,6 +74,8 @@ impl QueryWorkspace {
 /// buffers plus pools for the `Gu` level maps and attention lists.
 #[derive(Default)]
 pub struct SourcePushScratch {
+    /// Residual-walk tallies; touched only by queries whose exact phase
+    /// runs out of edge budget, always sized to `L*` rows.
     pub(crate) visits: LevelVisits,
     pub(crate) walk_buf: Vec<NodeId>,
     /// Spare `Vec<Level>` spine (capacity retained across queries).
@@ -119,7 +122,12 @@ impl SourcePushScratch {
     /// [`QueryWorkspace::recycle`]).
     pub(crate) fn recycle(&mut self, gu: SourceGraph) {
         let mut levels = gu.levels;
-        for level in levels.drain(..) {
+        // Deepest level first, so the LIFO pool hands level ℓ of the next
+        // query the map level ℓ used in this one: each pooled map then
+        // retains the capacity of the largest level ℓ it has seen, not —
+        // as a rotating assignment ends up with — of the largest level of
+        // any depth.
+        for level in levels.drain(..).rev() {
             self.put_level(level);
         }
         // Keep the emptied spine so the next query's `Vec<Level>` push loop
@@ -311,6 +319,38 @@ mod tests {
         assert!(m.is_empty(), "pooled map must come back cleared");
         assert_eq!(m.universe(), 20, "pooled map must be re-targeted");
         assert!(ws.take_attention().is_empty());
+    }
+
+    #[test]
+    fn recycled_maps_return_to_the_level_they_served() {
+        // Three queries with level populations 1, 300, 2, 3. A pool that
+        // reversed the assignment on every query would have grown the maps
+        // of levels 1 *and* 2 by now; a stable one grows level 1's only.
+        let sizes = [1u32, 300, 2, 3];
+        let mut ws = SourcePushScratch::default();
+        for _ in 0..3 {
+            let mut levels = std::mem::take(&mut ws.levels_buf);
+            for &size in &sizes {
+                let mut h = ws.take_map(1_000);
+                (0..size).for_each(|v| h.add(v, 1.0));
+                levels.push(Level {
+                    h,
+                    attention: ws.take_attention(),
+                });
+            }
+            ws.recycle(SourceGraph {
+                query: 0,
+                universe: 1_000,
+                levels,
+            });
+        }
+        let bytes: Vec<usize> = sizes
+            .iter()
+            .map(|_| ws.take_map(1_000).logical_bytes())
+            .collect();
+        for ell in [0, 2, 3] {
+            assert!(bytes[ell] * 4 < bytes[1], "level {ell}: {bytes:?}");
+        }
     }
 
     #[test]

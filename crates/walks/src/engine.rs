@@ -113,8 +113,9 @@ pub fn sample_walk<G: GraphView, R: Rng + ?Sized>(
 /// maximum attention level `L`.
 #[derive(Debug, Clone, Default)]
 pub struct LevelVisits {
-    /// `levels[ℓ][v]` = number of sampled walks that were at `v` at step `ℓ`
-    /// (level 0 is excluded: it is always the start node).
+    /// `levels[ℓ − 1][v]` = number of sampled walks that were at `v` on
+    /// level `ℓ` of the walk tree rooted at the query node (level 0 is
+    /// excluded: it is always the query node itself).
     // simcheck: allow(nondet-iteration) — rows take keyed increments and
     // are read via keyed gets or the order-free any() level probe.
     pub levels: Vec<FxHashMap<NodeId, u32>>,
@@ -153,11 +154,11 @@ impl LevelVisits {
     /// Re-runs the sampling of [`sample`](Self::sample) in place, reusing
     /// `self`'s per-level visit maps and the caller-provided walk buffer.
     ///
-    /// Bit-identical to [`sample`](Self::sample) for the same arguments (the
-    /// RNG consumption per walk is exactly one [`step_walk`] sequence in both
-    /// paths), but steady-state reuse performs no heap allocation: counter
-    /// maps keep their capacity across calls and the walk buffer only grows
-    /// to the longest walk ever seen.
+    /// This is [`sample_residual_into`](Self::sample_residual_into) with the
+    /// whole unit of mass still sitting on `start` at level 0 — the same
+    /// loop, not a second one — so it is bit-identical to
+    /// [`sample`](Self::sample) for the same arguments and steady-state
+    /// reuse performs no heap allocation.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_into<G: GraphView>(
         &mut self,
@@ -165,6 +166,48 @@ impl LevelVisits {
         start: NodeId,
         params: WalkParams,
         num_walks: usize,
+        max_level: usize,
+        seed: u64,
+        walk_buf: &mut Vec<NodeId>,
+    ) {
+        self.sample_residual_into(
+            g,
+            [(start, 1.0)],
+            0,
+            params,
+            num_walks,
+            max_level,
+            seed,
+            walk_buf,
+        );
+    }
+
+    /// Samples only the part of the walk tree a deterministic push has not
+    /// resolved yet. `frontier` holds the nodes the push reached on level
+    /// `frontier_level` with their hitting probabilities `h`; each draws
+    /// `⌈budget·h⌉` √c-walks of at most `max_level − frontier_level` steps,
+    /// tallied at their absolute levels `frontier_level + 1 ..= max_level`
+    /// (the rows up to `frontier_level` stay empty).
+    ///
+    /// A visit count on level `ℓ` is then a sum of independent Bernoullis
+    /// with mean `Σ_v ⌈budget·h(v)⌉·h^(ℓ − frontier_level)(v, w) ≥
+    /// budget·h^(ℓ)(u, w)` — at least what `budget` walks from the query
+    /// node give, so any lower-tail bound stated for those carries over.
+    /// With `frontier = [(u, 1.0)]` at level 0 it *is* those walks:
+    /// `⌈budget·1⌉ = budget`, one RNG stream, one [`step_walk`] sequence
+    /// per walk.
+    ///
+    /// `self.num_walks` reports the walks actually started. Counter maps
+    /// keep their capacity across calls and the walk buffer only grows to
+    /// the longest walk ever seen.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_residual_into<G: GraphView>(
+        &mut self,
+        g: &G,
+        frontier: impl IntoIterator<Item = (NodeId, f64)>,
+        frontier_level: usize,
+        params: WalkParams,
+        budget: usize,
         max_level: usize,
         seed: u64,
         walk_buf: &mut Vec<NodeId>,
@@ -181,11 +224,16 @@ impl LevelVisits {
             // simcheck: allow(nondet-iteration) — empty row constructor.
             self.levels.push(FxHashMap::default());
         }
-        self.num_walks = num_walks;
-        for _ in 0..num_walks {
-            sample_walk_into(g, start, params, max_level, &mut rng, walk_buf);
-            for (step, &v) in walk_buf.iter().enumerate().skip(1) {
-                *self.levels[step - 1].entry(v).or_insert(0) += 1;
+        self.num_walks = 0;
+        let max_steps = max_level.saturating_sub(frontier_level);
+        for (start, h) in frontier {
+            let walks = (budget as f64 * h).ceil() as usize;
+            self.num_walks += walks;
+            for _ in 0..walks {
+                sample_walk_into(g, start, params, max_steps, &mut rng, walk_buf);
+                for (step, &v) in walk_buf.iter().enumerate().skip(1) {
+                    *self.levels[frontier_level + step - 1].entry(v).or_insert(0) += 1;
+                }
             }
         }
     }
@@ -325,6 +373,72 @@ mod tests {
             sample_walk_into(&g, 2, params, 10, &mut r2, &mut buf);
             assert_eq!(owned, buf, "seed {seed}");
         }
+    }
+
+    fn sorted_rows(visits: &LevelVisits) -> Vec<Vec<(NodeId, u32)>> {
+        visits
+            .levels
+            .iter()
+            .map(|level| {
+                let mut row: Vec<_> = level.iter().map(|(&v, &cnt)| (v, cnt)).collect();
+                row.sort_unstable();
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unit_mass_at_level_zero_reproduces_the_pre_residual_sampler() {
+        // Golden tallies captured from `sample_into` as it was before the
+        // sampler learned to start from a frontier (1,000 walks from node 2
+        // of the Jeh–Widom graph, 5 levels, seed 0xD1CE): the generalised
+        // loop started from {(u, 1.0)} must consume the RNG identically.
+        let golden: [&[(NodeId, u32)]; 5] = [
+            &[(0, 389), (4, 390)],
+            &[(2, 299), (3, 312)],
+            &[(0, 108), (1, 239), (4, 121)],
+            &[(0, 185), (2, 97), (3, 79)],
+            &[(0, 46), (1, 57), (3, 144), (4, 37)],
+        ];
+        let g = shapes::jeh_widom();
+        let params = WalkParams::new(0.6);
+        let mut visits = LevelVisits::default();
+        visits.sample_residual_into(&g, [(2, 1.0)], 0, params, 1000, 5, 0xD1CE, &mut Vec::new());
+        assert_eq!(visits.num_walks, 1000);
+        assert_eq!(sorted_rows(&visits), golden);
+        let wrapped = LevelVisits::sample(&g, 2, params, 1000, 5, 0xD1CE);
+        assert_eq!(wrapped.levels, visits.levels);
+    }
+
+    #[test]
+    fn residual_walks_are_tallied_at_absolute_levels() {
+        // A made-up level-2 frontier on a 6-cycle: {4: 0.5, 1: 0.001}.
+        // ⌈100·0.5⌉ + ⌈100·0.001⌉ = 51 walks, each at most 5 − 2 = 3 steps,
+        // landing on levels 3..=5 only.
+        let g = shapes::cycle(6);
+        let mut visits = LevelVisits::default();
+        visits.sample_residual_into(
+            &g,
+            [(4, 0.5), (1, 0.001)],
+            2,
+            WalkParams::new(0.99),
+            100,
+            5,
+            13,
+            &mut Vec::new(),
+        );
+        assert_eq!(visits.num_walks, 51);
+        assert_eq!(visits.levels.len(), 5);
+        assert!(visits.levels[0].is_empty() && visits.levels[1].is_empty());
+        // In-neighbour of v on the cycle is v − 1: from 4 the walks sit on
+        // 3, 2, 1 at levels 3, 4, 5; the single walk from 1 on 0, 5, 4.
+        for (level, from_4, from_1) in [(3, 3, 0), (4, 2, 5), (5, 1, 4)] {
+            let row = &visits.levels[level - 1];
+            assert!(row.keys().all(|&v| v == from_4 || v == from_1), "{row:?}");
+            assert!(row[&from_4] <= 50 && row.get(&from_1).is_none_or(|&c| c == 1));
+        }
+        assert!(visits.levels[2][&3] >= 40, "√c = 0.995: most walks move");
+        assert_eq!(visits.deepest_level_with_count(30), 5);
     }
 
     #[test]

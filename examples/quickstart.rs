@@ -32,7 +32,15 @@ fn main() {
 
     let st = &result.stats;
     println!("\nquery anatomy:");
-    println!("  level detection walks : {}", st.num_walks);
+    println!(
+        "  level detection walks : {} ({})",
+        st.num_walks,
+        if st.num_walks > 0 {
+            "the exact push ran out of edge budget and sampled the rest"
+        } else {
+            "the exact push settled the depth on its own"
+        }
+    );
     println!(
         "  max level L           : {} (cap L* = {})",
         st.level, st.l_star

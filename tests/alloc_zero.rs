@@ -53,7 +53,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Runs the four push stages for `u` on `ws`, recycling `Gu` at the end.
-fn run_stages<G: simrank_graph::GraphView>(g: &G, u: u32, cfg: &Config, ws: &mut QueryWorkspace) {
+/// Returns the number of level-detection walks stage 1 drew.
+fn run_stages<G: simrank_graph::GraphView>(
+    g: &G,
+    u: u32,
+    cfg: &Config,
+    ws: &mut QueryWorkspace,
+) -> usize {
     let sp = source_push_with(g, u, cfg, &mut ws.source);
     let gu = sp.gu;
     ws.att.build_into(&gu);
@@ -61,14 +67,14 @@ fn run_stages<G: simrank_graph::GraphView>(g: &G, u: u32, cfg: &Config, ws: &mut
     compute_gammas_with(&ws.att, ws.hitting.att_hit(), gu.max_level(), &mut ws.gamma);
     reverse_push_with(g, &gu, &ws.att, ws.gamma.gammas(), cfg, &mut ws.reverse);
     ws.recycle(gu);
+    sp.num_walks
 }
 
 #[test]
 fn warm_push_stages_allocate_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
-    // A graph big enough that every stage does real work: Monte-Carlo level
-    // detection, multi-level Gu, attention hitting pairs and a residue
-    // cascade.
+    // A graph big enough that every stage does real work: a multi-level Gu,
+    // attention hitting pairs and a residue cascade.
     let g = simrank_graph::gen::copying_web(5_000, 6, 0.7, 13);
     let cfg = Config::new(0.02);
     let u = 1_234u32;
@@ -122,4 +128,36 @@ fn warm_stages_still_allocate_nothing_across_different_queries() {
         0,
         "alternating warm queries must not touch the heap"
     );
+}
+
+#[test]
+fn warm_stages_allocate_nothing_whether_or_not_stage_one_samples() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // The heaviest hub's frontier breaks the edge budget, so stage 1 falls
+    // back to residual walks (visit maps, walk buffer); node 1234 settles in
+    // the exact phase. One workspace serves both.
+    let g = simrank_graph::gen::copying_web(5_000, 6, 0.7, 13);
+    let cfg = Config::new(0.05);
+    let hub = g
+        .nodes()
+        .max_by_key(|&v| g.in_degree(v))
+        .expect("non-empty graph");
+    let mut ws = QueryWorkspace::new();
+    for _ in 0..2 {
+        for u in [hub, 1_234] {
+            run_stages(&g, u, &cfg, &mut ws);
+        }
+    }
+
+    for (u, samples) in [(hub, true), (1_234, false)] {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let walks = run_stages(&g, u, &cfg, &mut ws);
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(walks > 0, samples, "node {u} drew {walks} walks");
+        assert_eq!(
+            after - before,
+            0,
+            "warm query of node {u} ({walks} walks) must not touch the heap"
+        );
+    }
 }

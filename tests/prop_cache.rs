@@ -200,3 +200,111 @@ fn publish_poisons_exactly_the_intersecting_support_sets() {
     assert_eq!(survivor.computed_epoch, 0);
     assert!(cache.stats().invalidations >= 1);
 }
+
+/// Whether Source-Push samples or settles exactly depends on in-degrees its
+/// budget pre-scan reads, so those reads must be part of the support set: an
+/// update that only changes the in-degree of a node on the last exact
+/// frontier — flipping the query between the two paths — has to invalidate
+/// the cached answer, in both directions.
+#[test]
+fn degree_change_that_flips_exact_and_fallback_invalidates_the_entry() {
+    let engine = SimPush::new(Config::new(0.05));
+    let budget = simpush::source_push::detection_edge_budget(engine.config());
+    // 0 ← 1 ← hub 2 ← `budget − 2` sources: 1 + 1 + (budget − 2) in-edges,
+    // exactly what the exact phase may scan. `spare` is isolated.
+    let sources = budget as NodeId - 2;
+    let (hub, spare) = (2, 3 + sources);
+    let base = GraphBuilder::new()
+        .with_num_nodes(spare as usize + 1)
+        .with_edges([(1, 0), (hub, 1)])
+        .with_edges((0..sources).map(|s| (3 + s, hub)))
+        .build();
+    let store = GraphStore::new(base);
+    let cache = AnswerCache::new(AnswerCacheOptions {
+        capacity: 8,
+        shards: 1,
+        max_stale_epochs: 0,
+    });
+    let key = CacheKey {
+        node: 0,
+        top_k: TOP_K,
+        fingerprint: engine.config().fingerprint(),
+    };
+    let mut ws = simpush::QueryWorkspace::new();
+    // Computes and caches node 0's answer; returns the walks it drew.
+    let mut miss = |expect_epoch: u64| {
+        assert!(cache.lookup(&key, store.version_hint()).is_none());
+        let snap = store.snapshot();
+        assert_eq!(snap.epoch(), expect_epoch);
+        let tracer = SupportTracer::new(&*snap);
+        let result = engine.query_seeded_with(&tracer, 0, &mut ws);
+        let support = tracer.take_support();
+        assert!(
+            support.binary_search(&hub).is_ok(),
+            "the hub's degree decided the path: it must be in the support set"
+        );
+        cache.insert(key, snap.epoch(), support, result.top_k(TOP_K));
+        assert!(cache.lookup(&key, store.version_hint()).is_some());
+        result.stats.num_walks
+    };
+
+    assert_eq!(miss(0), 0, "within the budget: settled exactly");
+
+    // One more in-edge on the hub and level 3 no longer fits.
+    assert!(store.insert_edge(spare, hub));
+    let info = store.publish();
+    cache.on_publish(info.epoch, &info.touched);
+    assert!(miss(1) > 0, "over the budget: residual walks");
+
+    assert!(store.remove_edge(spare, hub));
+    let info = store.publish();
+    cache.on_publish(info.epoch, &info.touched);
+    assert_eq!(miss(2), 0, "back within the budget");
+    assert_eq!(cache.stats().invalidations, 2);
+}
+
+/// Stage 1's read set on one fixed query against the read set it had when
+/// it drew the whole walk budget before pushing (rebuilt here from the same
+/// pieces: `R` walks from `u`, then a push of every level below the detected
+/// one). At the commit before the push became its own detector this query's
+/// support set held 392 nodes, 97 of them read by stage 1; with it 377 and
+/// 82 (sizes recorded here, not asserted: they move with stages 2–4 and the
+/// generator).
+#[test]
+fn stage_one_reads_a_subset_of_what_the_full_walk_budget_read() {
+    use simrank_suite::walks::LevelVisits;
+    let g = simrank_suite::graph::gen::copying_web(20_000, 8, 0.75, 11);
+    let cfg = Config::new(0.02);
+    let u: NodeId = 3_007;
+
+    let walk_era = SupportTracer::new(&g);
+    let walks = cfg.num_detection_walks();
+    let mut visits = LevelVisits::default();
+    visits.sample_into(
+        &walk_era,
+        u,
+        WalkParams::new(cfg.c),
+        walks,
+        cfg.l_star(),
+        cfg.seed,
+        &mut Vec::new(),
+    );
+    let detected = visits.deepest_level_with_count(cfg.detection_threshold(walks));
+    let mut frontier = vec![u];
+    for _ in 0..detected {
+        let mut next: Vec<NodeId> = frontier
+            .iter()
+            .flat_map(|&v| walk_era.in_neighbors(v).iter().copied())
+            .collect();
+        next.sort_unstable();
+        next.dedup();
+        frontier = next;
+    }
+    let walk_era = walk_era.take_support();
+
+    let tracer = SupportTracer::new(&g);
+    let pushed = simpush::source_push::source_push(&tracer, u, &cfg);
+    assert_eq!(pushed.num_walks, 0);
+    let now = tracer.take_support();
+    assert!(now.iter().all(|v| walk_era.binary_search(v).is_ok()));
+}
