@@ -1,16 +1,18 @@
-//! `check_bench_json` — schema, range and regression gate for the
-//! `BENCH_*.json` snapshots.
+//! `check_bench_json` — schema, range and regression gate for the two
+//! verdict snapshots, `BENCH_scenarios.json` (`scenario_serve`) and
+//! `BENCH_elastic_serve.json` (`elastic_serve`).
 //!
-//! The bench emitters hand-write their JSON, so CI validates every smoke
-//! output with this checker before uploading it as an artifact. Two modes:
+//! The emitters hand-write their JSON, so CI validates every smoke output
+//! with this checker before uploading it as an artifact. Performance is
+//! not measured here — that is `BENCHMARK.json` + `benchmark/`. Two modes:
 //!
 //! **Validate** (default): each file must be non-empty, parse as JSON
-//! (`simrank_bench::json`), carry the required keys for its `bench`
-//! family, **and** satisfy that family's numeric range assertions
+//! (`simrank_bench::json`), name a known `bench` family, carry that
+//! family's required keys **and** satisfy its numeric range assertions
 //! (`reject_rate ∈ [0, 1]`, positive throughputs, …) — so a snapshot that
 //! is schema-valid but numerically nonsense fails the gate too. Files
-//! whose `smoke` flag is true get additional smoke-only bounds (e.g. the
-//! front-end's deadline-miss rate must stay ≤ 0.5 at CI scale).
+//! whose `smoke` flag is true get additional smoke-only bounds (the
+//! scenarios' deadline-miss rate must stay ≤ 0.5 at CI scale).
 //!
 //! ```text
 //! check_bench_json FILE.json [FILE.json …]
@@ -19,10 +21,10 @@
 //! **Compare**: ratio the designated throughput metrics of a candidate
 //! snapshot against a committed baseline of the same bench family, print
 //! a summary table, and fail if any metric dropped more than the allowed
-//! fraction (default 30 %). CI runs every serving smoke output against
-//! the committed full-run snapshot — a coarse floor that catches a
-//! serving path collapsing, since a smoke run on a tiny graph should
-//! never be slower than the committed full run on a graph 50× larger.
+//! fraction (default 30 %). CI runs both smoke outputs against the
+//! committed full-run snapshots — a coarse floor that catches a serving
+//! path collapsing, since a smoke run on a tiny graph should never be
+//! slower than the committed full run on a graph 50× larger.
 //!
 //! ```text
 //! check_bench_json --compare BASELINE.json CANDIDATE.json [--max-drop 0.30]
@@ -37,153 +39,46 @@ use std::process::ExitCode;
 /// Keys every snapshot must carry regardless of family.
 const COMMON: &[&str] = &["bench", "graph.nodes"];
 
-/// Per-family required dotted paths (beyond [`COMMON`]).
-fn required_paths(bench: &str) -> Option<&'static [&'static str]> {
-    match bench {
-        "dynamic_serve" => Some(&[
-            "smoke",
-            "workload.updates",
-            "workload.queries",
-            "store_batched.effective_updates",
-            "store_batched.avg_update_batch_ns",
-            "store_batched.avg_query_ns",
-            "store_batched.p95_query_ns",
-            "store_batched.p99_query_ns",
-            "store_batched.queries_per_sec",
-            "store_publish_per_update.avg_update_batch_ns",
-            "csr_rebuild_per_update.avg_rebuild_ns",
-            "csr_rebuild_per_update.avg_query_ns",
-        ]),
-        "sharded_serve" => Some(&[
-            "smoke",
-            "workload.updates",
-            "workload.queries",
-            "workload.cross_fraction",
-            "compaction_threshold_per_shard",
-            "baseline_unsharded.updates_per_sec",
-            "baseline_unsharded.avg_query_ns",
-            "baseline_unsharded.p99_query_ns",
-            "sweep",
-            "cross_traffic_tax.updates_per_sec",
-        ]),
-        "warm_query" => Some(&[
-            "epsilon",
-            "mc_detection.cold_ns_per_query",
-            "mc_detection.warm_ns_per_query",
-            "mc_detection.warm_speedup",
-            "exact_detection.cold_ns_per_query",
-            "exact_detection.warm_ns_per_query",
-            "exact_detection.warm_speedup",
-        ]),
-        "frontend_serve" => Some(&[
-            "smoke",
-            "workload.queries",
-            "workload.updates",
-            "options.workers",
-            "options.queue_capacity",
-            "options.deadline_ms",
-            "calibration.mean_service_ns",
-            "calibration.capacity_qps",
-            "sweep",
-        ]),
-        "scenario_serve" => Some(&[
-            "smoke",
-            "epsilon",
-            "options.workers",
-            "options.queue_capacity",
-            "options.requests_per_scenario",
-            "options.updates_per_batch",
-            "calibration.requests",
-            "calibration.mean_service_ns",
-            "calibration.capacity_qps",
-            "scenarios",
-        ]),
-        "cached_serve" => Some(&[
-            "smoke",
-            "epsilon",
-            "options.workers",
-            "options.queue_capacity",
-            "options.requests_per_scenario",
-            "options.cache_capacity",
-            "options.cache_shards",
-            "calibration.requests",
-            "calibration.mean_service_ns",
-            "calibration.capacity_qps",
-            "pairs",
-        ]),
-        "elastic_serve" => Some(&[
-            "smoke",
-            "workload.queries",
-            "workload.updates",
-            "options.workers",
-            "options.queue_capacity",
-            "options.static_deadline_ms",
-            "calibration.requests",
-            "calibration.mean_service_ns",
-            "calibration.p99_service_ns",
-            "calibration.capacity_qps",
-            "slo.p99_ns",
-            "slo.target_sojourn_ns",
-            "slo.tick_ms",
-            "ramp",
-            "control.ticks",
-            "control.actuations",
-            "control.tightens",
-            "control.relaxes",
-            "verdict.comparison_load",
-            "verdict.controlled_holds_slo_at_high_load",
-            "verdict.static_misses_slo_at_high_load",
-            "verdict.controlled_p99_not_above_static_at_high_load",
-        ]),
-        "tiered_query" => Some(&[
-            "smoke",
-            "epsilon",
-            "graph.edges",
-            "layout.page_size",
-            "layout.file_bytes",
-            "layout.budget_bytes",
-            "layout.over_budget",
-            "queries",
-            "top_k",
-            "backends",
-            "answers_match",
-        ]),
-        _ => None,
-    }
-}
-
-/// Keys every `sweep` element of a `sharded_serve` snapshot must carry.
-const SHARDED_SWEEP_KEYS: &[&str] = &[
-    "k",
-    "effective_updates",
-    "update_wall_ns",
-    "updates_per_sec",
-    "avg_query_ns",
-    "p95_query_ns",
-    "p99_query_ns",
-    "cuts",
-    "compactions",
+/// Top-level dotted paths a `scenario_serve` snapshot must carry (beyond
+/// [`COMMON`]).
+const SCENARIO_REQUIRED: &[&str] = &[
+    "smoke",
+    "epsilon",
+    "options.workers",
+    "options.queue_capacity",
+    "options.requests_per_scenario",
+    "options.updates_per_batch",
+    "calibration.requests",
+    "calibration.mean_service_ns",
+    "calibration.capacity_qps",
+    "scenarios",
 ];
 
-/// Keys every `sweep` element of a `frontend_serve` snapshot must carry —
-/// one offered-load point each.
-const FRONTEND_SWEEP_KEYS: &[&str] = &[
-    "load_factor",
-    "offered_qps",
-    "requests",
-    "accepted",
-    "rejected",
-    "answered",
-    "deadline_misses",
-    "throughput_qps",
-    "reject_rate",
-    "deadline_miss_rate",
-    "p50_latency_ns",
-    "p95_latency_ns",
-    "p99_latency_ns",
-    "avg_queue_wait_ns",
-    "max_queue_depth",
-    "wall_ns",
+/// Top-level dotted paths an `elastic_serve` snapshot must carry (beyond
+/// [`COMMON`]).
+const ELASTIC_REQUIRED: &[&str] = &[
+    "smoke",
+    "workload.queries",
+    "workload.updates",
+    "options.workers",
+    "options.queue_capacity",
+    "options.static_deadline_ms",
+    "calibration.requests",
+    "calibration.mean_service_ns",
+    "calibration.p99_service_ns",
+    "calibration.capacity_qps",
+    "slo.p99_ns",
+    "slo.target_sojourn_ns",
+    "slo.tick_ms",
+    "ramp",
+    "control.ticks",
+    "control.actuations",
+    "control.tightens",
+    "control.relaxes",
+    "verdict.comparison_load",
+    "verdict.controlled_holds_slo_at_high_load",
+    "verdict.static_misses_slo_at_high_load",
+    "verdict.controlled_p99_not_above_static_at_high_load",
 ];
 
 /// Keys every `scenarios` element of a `scenario_serve` snapshot must
@@ -234,97 +129,6 @@ const REQUIRED_SCENARIOS: &[&str] = &[
     "hot_flood",
 ];
 
-/// Keys every `pairs` element of a `cached_serve` snapshot must carry —
-/// one cached-vs-uncached scenario pair each. Both sides emit the same
-/// side keys (the uncached side's cache counters are 0), so the dotted
-/// sub-paths are uniform across the array.
-const CACHED_PAIR_KEYS: &[&str] = &[
-    "name",
-    "about",
-    "key_dist",
-    "zipf_exponent",
-    "hot_set_size",
-    "load_factor",
-    "burstiness",
-    "updates_per_query",
-    "max_stale_epochs",
-    "uncached.requests",
-    "uncached.answered",
-    "uncached.throughput_qps",
-    "uncached.reject_rate",
-    "uncached.deadline_miss_rate",
-    "uncached.p99_latency_ns",
-    "uncached.final_epoch",
-    "uncached.wall_ns",
-    "cached.requests",
-    "cached.answered",
-    "cached.throughput_qps",
-    "cached.reject_rate",
-    "cached.deadline_miss_rate",
-    "cached.p99_latency_ns",
-    "cached.final_epoch",
-    "cached.wall_ns",
-    "cached.cache_hits",
-    "cached.cache_misses",
-    "cached.hit_rate",
-    "cached.evictions",
-    "cached.invalidations",
-    "speedup",
-];
-
-/// The pairs every `cached_serve` snapshot must report.
-const REQUIRED_PAIRS: &[&str] = &["zipf_hot", "hot_flood", "update_heavy"];
-
-/// Range assertions for `dynamic_serve` snapshots.
-const DYNAMIC_BOUNDS: &[Bound] = &[
-    Bound::at_least("graph.nodes", 2.0),
-    Bound::at_least("store_batched.effective_updates", 1.0),
-    Bound::at_least("store_batched.queries_per_sec", 0.1),
-    Bound::at_least("store_batched.avg_query_ns", 1.0),
-    Bound::at_least("csr_rebuild_per_update.avg_rebuild_ns", 1.0),
-];
-
-/// Range assertions for `sharded_serve` snapshots.
-const SHARDED_BOUNDS: &[Bound] = &[
-    Bound::at_least("graph.nodes", 2.0),
-    Bound::between("workload.cross_fraction", 0.0, 1.0),
-    Bound::at_least("baseline_unsharded.updates_per_sec", 1.0),
-    Bound::at_least("sweep[*].updates_per_sec", 1.0),
-    Bound::at_least("sweep[*].avg_query_ns", 1.0),
-    Bound::at_least("sweep[*].effective_updates", 1.0),
-    Bound::at_least("cross_traffic_tax.updates_per_sec", 1.0),
-];
-
-/// Range assertions for `warm_query` snapshots. A warm speedup far below
-/// 1 would mean workspace reuse is actively hurting — a bug, not noise.
-const WARM_BOUNDS: &[Bound] = &[
-    Bound::at_least("mc_detection.cold_ns_per_query", 1.0),
-    Bound::at_least("exact_detection.cold_ns_per_query", 1.0),
-    Bound::at_least("mc_detection.warm_speedup", 0.5),
-    Bound::at_least("exact_detection.warm_speedup", 0.5),
-];
-
-/// Range assertions for `frontend_serve` snapshots.
-const FRONTEND_BOUNDS: &[Bound] = &[
-    Bound::at_least("graph.nodes", 2.0),
-    Bound::at_least("options.workers", 1.0),
-    Bound::at_least("options.queue_capacity", 1.0),
-    Bound::at_least("calibration.mean_service_ns", 1.0),
-    Bound::at_least("calibration.capacity_qps", 0.1),
-    Bound::between("sweep[*].reject_rate", 0.0, 1.0),
-    Bound::between("sweep[*].deadline_miss_rate", 0.0, 1.0),
-    Bound::at_least("sweep[*].offered_qps", 0.1),
-    Bound::at_least("sweep[*].throughput_qps", 0.1),
-    Bound::at_least("sweep[*].p99_latency_ns", 1.0),
-    Bound::at_least("sweep[*].requests", 1.0),
-];
-
-/// At CI scale the sweep's deadline is generous relative to the queue, so
-/// even the overloaded points must reject (cheap) rather than
-/// accept-then-expire (wasted queueing): a majority of misses means the
-/// deadline machinery is broken.
-const FRONTEND_SMOKE_BOUNDS: &[Bound] = &[Bound::at_most("sweep[*].deadline_miss_rate", 0.5)];
-
 /// Range assertions for `scenario_serve` snapshots, applied to the whole
 /// document (every-scenario invariants use the `[*]` wildcard).
 const SCENARIO_BOUNDS: &[Bound] = &[
@@ -345,9 +149,10 @@ const SCENARIO_BOUNDS: &[Bound] = &[
     Bound::between("scenarios[*].slo.max_deadline_miss_rate", 0.0, 1.0),
 ];
 
-/// Same rationale as [`FRONTEND_SMOKE_BOUNDS`]: the scenario deadlines are
-/// generous vs. worst-case queueing, so overload must surface as cheap
-/// rejection, never as a majority of accepted-then-expired requests.
+/// The scenario deadlines are generous vs. worst-case queueing, so even at
+/// CI scale overload must surface as cheap rejection, never as a majority
+/// of accepted-then-expired requests — that would mean the deadline
+/// machinery is broken.
 const SCENARIO_SMOKE_BOUNDS: &[Bound] = &[Bound::at_most("scenarios[*].deadline_miss_rate", 0.5)];
 
 /// Per-scenario-name range assertions, applied **element-relative** to the
@@ -407,134 +212,6 @@ const SCENARIO_NAMED_BOUNDS: &[(&str, &[Bound])] = &[
         ],
     ),
 ];
-
-/// Range assertions for `cached_serve` snapshots, applied to the whole
-/// document at both scales.
-const CACHED_BOUNDS: &[Bound] = &[
-    Bound::at_least("graph.nodes", 2.0),
-    Bound::at_least("options.workers", 1.0),
-    Bound::at_least("options.cache_capacity", 1.0),
-    Bound::at_least("options.cache_shards", 1.0),
-    Bound::at_least("calibration.mean_service_ns", 1.0),
-    Bound::at_least("calibration.capacity_qps", 0.1),
-    Bound::at_least("pairs[*].uncached.answered", 1.0),
-    Bound::at_least("pairs[*].cached.answered", 1.0),
-    Bound::at_least("pairs[*].uncached.throughput_qps", 0.1),
-    Bound::at_least("pairs[*].cached.throughput_qps", 0.1),
-    Bound::between("pairs[*].uncached.reject_rate", 0.0, 1.0),
-    Bound::between("pairs[*].cached.reject_rate", 0.0, 1.0),
-    Bound::between("pairs[*].cached.hit_rate", 0.0, 1.0),
-    Bound::at_least("pairs[*].speedup", 0.01),
-];
-
-/// Per-pair-name assertions for **full** runs — the PR's acceptance
-/// criteria, pinned so the committed snapshot can't quietly regress: the
-/// cache must at least double `zipf_hot` throughput at ≥ 2× offered load
-/// with a majority hit rate, keep `hot_flood` mostly hits, and show the
-/// delta-aware invalidation path actually firing under `update_heavy`
-/// (whose exact-only bound makes throughput parity the expectation, not
-/// a failure).
-const CACHED_NAMED_BOUNDS: &[(&str, &[Bound])] = &[
-    (
-        "zipf_hot",
-        &[
-            Bound::at_least("zipf_exponent", 1.0),
-            Bound::at_least("load_factor", 2.0),
-            Bound::at_least("speedup", 2.0),
-            Bound::at_least("cached.hit_rate", 0.5),
-        ],
-    ),
-    (
-        "hot_flood",
-        &[
-            Bound::at_least("hot_set_size", 1.0),
-            Bound::at_least("load_factor", 1.2),
-            Bound::at_least("speedup", 1.5),
-            Bound::at_least("cached.hit_rate", 0.5),
-        ],
-    ),
-    (
-        "update_heavy",
-        &[
-            Bound::at_least("updates_per_query", 1.0),
-            Bound::at_most("max_stale_epochs", 0.0),
-            Bound::at_least("cached.invalidations", 1.0),
-        ],
-    ),
-];
-
-/// Gentler per-pair assertions for **smoke** runs: CI boxes are noisy and
-/// tiny graphs have tiny hot sets, so only the workload *knobs* and the
-/// sign of the effect are gated — a cached side slower than half the
-/// uncached side means the cache path itself broke.
-const CACHED_SMOKE_NAMED_BOUNDS: &[(&str, &[Bound])] = &[
-    (
-        "zipf_hot",
-        &[
-            Bound::at_least("zipf_exponent", 1.0),
-            Bound::at_least("load_factor", 2.0),
-            Bound::at_least("speedup", 0.5),
-            Bound::at_least("cached.cache_hits", 1.0),
-        ],
-    ),
-    (
-        "hot_flood",
-        &[
-            Bound::at_least("hot_set_size", 1.0),
-            Bound::at_least("load_factor", 1.2),
-            Bound::at_least("speedup", 0.5),
-            Bound::at_least("cached.cache_hits", 1.0),
-        ],
-    ),
-    (
-        "update_heavy",
-        &[
-            Bound::at_least("updates_per_query", 1.0),
-            Bound::at_most("max_stale_epochs", 0.0),
-        ],
-    ),
-];
-
-/// Keys every `backends` element of a `tiered_query` snapshot must carry —
-/// one storage adaptor backend each, with the cold/warm/pinned sweeps
-/// emitting the same counter set.
-const TIERED_BACKEND_KEYS: &[&str] = &[
-    "name",
-    "open_ns",
-    "placement.pinned_segments",
-    "placement.pinned_bytes",
-    "cold.wall_ns",
-    "cold.ns_per_query",
-    "cold.queries_per_sec",
-    "cold.pinned_reads",
-    "cold.page_hits",
-    "cold.page_faults",
-    "cold.spill_hits",
-    "cold.adaptor_reads",
-    "cold.adaptor_bytes",
-    "warm.wall_ns",
-    "warm.ns_per_query",
-    "warm.queries_per_sec",
-    "warm.pinned_reads",
-    "warm.page_hits",
-    "warm.page_faults",
-    "warm.spill_hits",
-    "warm.adaptor_reads",
-    "warm.adaptor_bytes",
-    "pinned.wall_ns",
-    "pinned.ns_per_query",
-    "pinned.queries_per_sec",
-    "pinned.pinned_reads",
-    "pinned.page_hits",
-    "pinned.page_faults",
-    "pinned.spill_hits",
-    "pinned.adaptor_reads",
-    "pinned.adaptor_bytes",
-];
-
-/// The adaptor backends every `tiered_query` snapshot must report — the
-/// tiering comparison is only meaningful with all three tiers present.
-const REQUIRED_BACKENDS: &[&str] = &["mem", "fs", "mmap"];
 
 /// Required keys for every element of an `elastic_serve` snapshot's
 /// `ramp` array — the segment identity plus the full static/controlled
@@ -598,61 +275,6 @@ const ELASTIC_BOUNDS: &[Bound] = &[
     Bound::between("ramp[*].controlled.deadline_miss_rate", 0.0, 1.0),
 ];
 
-/// Range assertions for `tiered_query` snapshots, applied at both scales.
-/// These pin the out-of-core invariants the bench exists to prove: the
-/// file must exceed the pin budget (so cold sweeps actually fault), the
-/// warm sweep must fault **zero** new pages (the write-once page cache
-/// retains everything), and the fully-pinned control must never touch the
-/// adaptor after open.
-const TIERED_BOUNDS: &[Bound] = &[
-    Bound::at_least("graph.nodes", 2.0),
-    Bound::at_least("graph.edges", 1.0),
-    Bound::at_least("epsilon", 1e-6),
-    Bound::at_least("layout.page_size", 256.0),
-    Bound::at_least("layout.file_bytes", 1.0),
-    Bound::at_least("layout.budget_bytes", 1.0),
-    Bound::at_least("queries", 1.0),
-    Bound::at_least("top_k", 1.0),
-    Bound::at_least("backends[*].open_ns", 1.0),
-    Bound::at_least("backends[*].placement.pinned_segments", 1.0),
-    Bound::at_least("backends[*].placement.pinned_bytes", 1.0),
-    Bound::at_least("backends[*].cold.queries_per_sec", 0.1),
-    Bound::at_least("backends[*].warm.queries_per_sec", 0.1),
-    Bound::at_least("backends[*].pinned.queries_per_sec", 0.1),
-    Bound::at_least("backends[*].cold.page_faults", 1.0),
-    Bound::at_most("backends[*].warm.page_faults", 0.0),
-    Bound::at_most("backends[*].warm.adaptor_reads", 0.0),
-    Bound::at_most("backends[*].pinned.page_faults", 0.0),
-    Bound::at_most("backends[*].pinned.adaptor_reads", 0.0),
-    Bound::at_least("backends[*].pinned.pinned_reads", 1.0),
-];
-
-/// Range assertions applied to every snapshot of a family. Each doubles
-/// as a presence check (a path resolving to nothing is a violation).
-fn family_bounds(bench: &str) -> &'static [Bound] {
-    match bench {
-        "dynamic_serve" => DYNAMIC_BOUNDS,
-        "sharded_serve" => SHARDED_BOUNDS,
-        "warm_query" => WARM_BOUNDS,
-        "frontend_serve" => FRONTEND_BOUNDS,
-        "scenario_serve" => SCENARIO_BOUNDS,
-        "cached_serve" => CACHED_BOUNDS,
-        "elastic_serve" => ELASTIC_BOUNDS,
-        "tiered_query" => TIERED_BOUNDS,
-        _ => &[],
-    }
-}
-
-/// Extra bounds applied only when the snapshot's `smoke` flag is true —
-/// CI-scale invariants that a full run is allowed to exceed.
-fn smoke_bounds(bench: &str) -> &'static [Bound] {
-    match bench {
-        "frontend_serve" => FRONTEND_SMOKE_BOUNDS,
-        "scenario_serve" => SCENARIO_SMOKE_BOUNDS,
-        _ => &[],
-    }
-}
-
 /// Validates a `scenario_serve` snapshot's `scenarios` array: per-element
 /// schema, presence of every [`REQUIRED_SCENARIOS`] name exactly once, and
 /// the element-relative [`SCENARIO_NAMED_BOUNDS`] ranges.
@@ -691,58 +313,6 @@ fn check_scenarios(path: &str, doc: &Json) -> Result<(), String> {
             k => {
                 return Err(format!(
                     "{path}: scenario \"{required}\" appears {k} times (must be unique)"
-                ))
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `cached_serve` snapshot's `pairs` array: per-element
-/// schema, presence of every [`REQUIRED_PAIRS`] name exactly once, and
-/// the element-relative per-name ranges — the strict
-/// [`CACHED_NAMED_BOUNDS`] acceptance gates on full runs, the gentler
-/// [`CACHED_SMOKE_NAMED_BOUNDS`] on smoke runs.
-fn check_cached_pairs(path: &str, doc: &Json) -> Result<(), String> {
-    let pairs = doc
-        .path("pairs")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{path}: \"pairs\" must be an array"))?;
-    let named: &[(&str, &[Bound])] = if doc.path("smoke").and_then(Json::as_bool) == Some(true) {
-        CACHED_SMOKE_NAMED_BOUNDS
-    } else {
-        CACHED_NAMED_BOUNDS
-    };
-    let mut names: Vec<&str> = Vec::with_capacity(pairs.len());
-    for (i, entry) in pairs.iter().enumerate() {
-        let missing = json::missing_paths(entry, CACHED_PAIR_KEYS);
-        if !missing.is_empty() {
-            return Err(format!(
-                "{path}: pairs[{i}] missing required keys {missing:?}"
-            ));
-        }
-        let name = entry
-            .path("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: pairs[{i}].name must be a string"))?;
-        names.push(name);
-        if let Some((_, bounds)) = named.iter().find(|(n, _)| *n == name) {
-            let violations = json::check_bounds(entry, bounds);
-            if !violations.is_empty() {
-                return Err(format!(
-                    "{path}: pair \"{name}\" range violations:\n  {}",
-                    violations.join("\n  ")
-                ));
-            }
-        }
-    }
-    for required in REQUIRED_PAIRS {
-        match names.iter().filter(|n| *n == required).count() {
-            1 => {}
-            0 => return Err(format!("{path}: pair \"{required}\" is missing")),
-            k => {
-                return Err(format!(
-                    "{path}: pair \"{required}\" appears {k} times (must be unique)"
                 ))
             }
         }
@@ -864,81 +434,49 @@ fn check_elastic_ramp(path: &str, doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `tiered_query` snapshot's `backends` array and the two
-/// boolean acceptance bits.
-///
-/// Per-element schema first, then every [`REQUIRED_BACKENDS`] name exactly
-/// once, then the non-negotiables: `answers_match` (every tiered top-k
-/// bit-identical to the in-RAM CSR) and `layout.over_budget` (the file was
-/// genuinely larger than the pin budget — otherwise the cold sweep never
-/// paged and the run proves nothing).
-fn check_tiered_backends(path: &str, doc: &Json) -> Result<(), String> {
-    let backends = doc
-        .path("backends")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{path}: \"backends\" must be an array"))?;
-    let mut names: Vec<&str> = Vec::with_capacity(backends.len());
-    for (i, entry) in backends.iter().enumerate() {
-        let missing = json::missing_paths(entry, TIERED_BACKEND_KEYS);
-        if !missing.is_empty() {
-            return Err(format!(
-                "{path}: backends[{i}] missing required keys {missing:?}"
-            ));
-        }
-        let name = entry
-            .path("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: backends[{i}].name must be a string"))?;
-        names.push(name);
-    }
-    for required in REQUIRED_BACKENDS {
-        match names.iter().filter(|n| *n == required).count() {
-            1 => {}
-            0 => return Err(format!("{path}: backend \"{required}\" is missing")),
-            k => {
-                return Err(format!(
-                    "{path}: backend \"{required}\" appears {k} times (must be unique)"
-                ))
-            }
-        }
-    }
-    if doc.path("answers_match").and_then(Json::as_bool) != Some(true) {
-        return Err(format!(
-            "{path}: answers_match must be true — a tiered backend diverged from the RAM CSR"
-        ));
-    }
-    if doc.path("layout.over_budget").and_then(Json::as_bool) != Some(true) {
-        return Err(format!(
-            "{path}: layout.over_budget must be true — the SRGD file must exceed the pin budget"
-        ));
-    }
-    Ok(())
+/// Everything the checker knows about one `bench` family.
+struct Family {
+    /// The snapshot's `bench` value.
+    name: &'static str,
+    /// Top-level dotted paths the document must carry (beyond [`COMMON`]).
+    required: &'static [&'static str],
+    /// Per-element schema and verdict rules for the family's array.
+    check_elements: fn(&str, &Json) -> Result<(), String>,
+    /// Range assertions at both scales. Each doubles as a presence check
+    /// (a path resolving to nothing is a violation).
+    bounds: &'static [Bound],
+    /// Extra bounds applied only when the snapshot's `smoke` flag is true.
+    smoke_bounds: &'static [Bound],
+    /// Designated higher-is-better throughput metrics for `--compare`,
+    /// chosen so a smoke run (tiny graph) compared against the committed
+    /// full run (large graph) can only fail when something is genuinely
+    /// broken: per-query and calibration throughputs scale *up* as graphs
+    /// shrink.
+    throughput: &'static [&'static str],
 }
 
-/// Designated higher-is-better throughput metrics for `--compare`.
-///
-/// Chosen so a smoke run (tiny graph) compared against the committed full
-/// run (large graph) can only fail when something is genuinely broken:
-/// per-query and calibration throughputs scale *up* as graphs shrink.
-fn throughput_metrics(bench: &str) -> Option<&'static [&'static str]> {
-    match bench {
-        "dynamic_serve" => Some(&[
-            "store_batched.queries_per_sec",
-            "store_publish_per_update.queries_per_sec",
-        ]),
-        "sharded_serve" => Some(&["sweep[*].queries_per_sec"]),
-        "frontend_serve" => Some(&["calibration.capacity_qps"]),
-        "scenario_serve" => Some(&["calibration.capacity_qps", "scenarios[*].throughput_qps"]),
-        "cached_serve" => Some(&["calibration.capacity_qps", "pairs[*].cached.throughput_qps"]),
+/// The families with a committed snapshot. Anything else is rejected: a
+/// snapshot of a family nobody validates proves nothing.
+const FAMILIES: &[Family] = &[
+    Family {
+        name: "scenario_serve",
+        required: SCENARIO_REQUIRED,
+        check_elements: check_scenarios,
+        bounds: SCENARIO_BOUNDS,
+        smoke_bounds: SCENARIO_SMOKE_BOUNDS,
+        throughput: &["calibration.capacity_qps", "scenarios[*].throughput_qps"],
+    },
+    Family {
+        name: "elastic_serve",
+        required: ELASTIC_REQUIRED,
+        check_elements: check_elastic_ramp,
+        bounds: ELASTIC_BOUNDS,
+        smoke_bounds: &[],
         // Only the calibration throughput is scale-robust here: ramp
         // segment qps is set by the offered load, not the machine.
-        "elastic_serve" => Some(&["calibration.capacity_qps"]),
-        // The warm sweep is the scale-robust one: a smoke graph is tiny,
-        // so its fully-cached queries must beat the committed full run.
-        "tiered_query" => Some(&["backends[*].warm.queries_per_sec"]),
-        _ => None,
-    }
-}
+        throughput: &["calibration.capacity_qps"],
+    },
+];
 
 fn load(path: &str) -> Result<Json, String> {
     let text =
@@ -949,74 +487,38 @@ fn load(path: &str) -> Result<Json, String> {
     json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn bench_family(path: &str, doc: &Json) -> Result<String, String> {
+/// Looks up the document's `bench` family; a family the checker does not
+/// know is an error, not a pass.
+fn bench_family(path: &str, doc: &Json) -> Result<&'static Family, String> {
     let missing = json::missing_paths(doc, COMMON);
     if !missing.is_empty() {
         return Err(format!("{path}: missing required keys {missing:?}"));
     }
-    doc.path("bench")
+    let bench = doc
+        .path("bench")
         .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("{path}: \"bench\" must be a string"))
+        .ok_or_else(|| format!("{path}: \"bench\" must be a string"))?;
+    FAMILIES.iter().find(|f| f.name == bench).ok_or_else(|| {
+        let known: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        format!("{path}: unknown bench family \"{bench}\" (known: {known:?})")
+    })
 }
 
-fn check_file(path: &str) -> Result<String, String> {
-    let doc = load(path)?;
-    let bench = bench_family(path, &doc)?;
-
-    let Some(required) = required_paths(&bench) else {
-        // Unknown families still had to be valid JSON with the common
-        // keys; don't fail so new emitters can land before the checker
-        // learns their schema.
-        return Ok(format!("{path}: ok (bench \"{bench}\", schema not pinned)"));
-    };
-    let missing = json::missing_paths(&doc, required);
+fn check_doc(path: &str, doc: &Json) -> Result<String, String> {
+    let family = bench_family(path, doc)?;
+    let bench = family.name;
+    let missing = json::missing_paths(doc, family.required);
     if !missing.is_empty() {
         return Err(format!(
             "{path}: bench \"{bench}\" missing required keys {missing:?}"
         ));
     }
-
-    // Per-element sweep schemas.
-    let sweep_keys: &[&str] = match bench.as_str() {
-        "sharded_serve" => SHARDED_SWEEP_KEYS,
-        "frontend_serve" => FRONTEND_SWEEP_KEYS,
-        _ => &[],
-    };
-    if !sweep_keys.is_empty() {
-        let sweep = doc
-            .path("sweep")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("{path}: \"sweep\" must be an array"))?;
-        if sweep.is_empty() {
-            return Err(format!("{path}: \"sweep\" must be non-empty"));
-        }
-        for (i, entry) in sweep.iter().enumerate() {
-            let missing = json::missing_paths(entry, sweep_keys);
-            if !missing.is_empty() {
-                return Err(format!(
-                    "{path}: sweep[{i}] missing required keys {missing:?}"
-                ));
-            }
-        }
-    }
-    if bench == "scenario_serve" {
-        check_scenarios(path, &doc)?;
-    }
-    if bench == "cached_serve" {
-        check_cached_pairs(path, &doc)?;
-    }
-    if bench == "elastic_serve" {
-        check_elastic_ramp(path, &doc)?;
-    }
-    if bench == "tiered_query" {
-        check_tiered_backends(path, &doc)?;
-    }
+    (family.check_elements)(path, doc)?;
 
     // Range assertions: schema-valid but numerically nonsense fails too.
-    let mut violations = json::check_bounds(&doc, family_bounds(&bench));
+    let mut violations = json::check_bounds(doc, family.bounds);
     if doc.path("smoke").and_then(Json::as_bool) == Some(true) {
-        violations.extend(json::check_bounds(&doc, smoke_bounds(&bench)));
+        violations.extend(json::check_bounds(doc, family.smoke_bounds));
     }
     if !violations.is_empty() {
         return Err(format!(
@@ -1027,25 +529,24 @@ fn check_file(path: &str) -> Result<String, String> {
     Ok(format!("{path}: ok (bench \"{bench}\", ranges checked)"))
 }
 
+fn check_file(path: &str) -> Result<String, String> {
+    check_doc(path, &load(path)?)
+}
+
 /// The `--compare` mode: regression table + verdict. Returns `Ok(true)`
 /// when the candidate holds up, `Ok(false)` on a regression.
 fn compare(baseline_path: &str, candidate_path: &str, max_drop: f64) -> Result<bool, String> {
     let baseline = load(baseline_path)?;
     let candidate = load(candidate_path)?;
-    let base_bench = bench_family(baseline_path, &baseline)?;
-    let cand_bench = bench_family(candidate_path, &candidate)?;
+    let family = bench_family(baseline_path, &baseline)?;
+    let base_bench = family.name;
+    let cand_bench = bench_family(candidate_path, &candidate)?.name;
     if base_bench != cand_bench {
         return Err(format!(
             "bench family mismatch: baseline is \"{base_bench}\", candidate is \"{cand_bench}\""
         ));
     }
-    let Some(metrics) = throughput_metrics(&base_bench) else {
-        println!(
-            "compare: bench \"{base_bench}\" has no pinned throughput metrics — nothing to gate"
-        );
-        return Ok(true);
-    };
-    let rows = json::compare_throughput(&baseline, &candidate, metrics, max_drop)
+    let rows = json::compare_throughput(&baseline, &candidate, family.throughput, max_drop)
         .map_err(|e| format!("{candidate_path} vs {baseline_path}: {e}"))?;
 
     println!(
@@ -1138,5 +639,51 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(name: &str) -> String {
+        format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    #[test]
+    fn committed_snapshots_validate() {
+        for name in ["BENCH_scenarios.json", "BENCH_elastic_serve.json"] {
+            if let Err(msg) = check_file(&committed(name)) {
+                panic!("{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_scenario_is_rejected() {
+        let Json::Obj(mut fields) = load(&committed("BENCH_scenarios.json")).unwrap() else {
+            panic!("snapshot is not an object");
+        };
+        let Some((_, Json::Arr(scenarios))) = fields.iter_mut().find(|(k, _)| k == "scenarios")
+        else {
+            panic!("snapshot has no scenarios array");
+        };
+        scenarios.retain(|s| s.path("name").and_then(Json::as_str) != Some("bursty"));
+        let err = check_doc("doc", &Json::Obj(fields)).unwrap_err();
+        assert!(err.contains("scenario \"bursty\" is missing"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_family_is_rejected_and_the_known_ones_are_listed() {
+        let doc = json::parse(r#"{"bench": "no_such_bench", "graph": {"nodes": 500}}"#).unwrap();
+        let err = check_doc("doc", &doc).unwrap_err();
+        assert!(
+            err.contains("unknown bench family \"no_such_bench\""),
+            "{err}"
+        );
+        assert!(
+            err.contains("scenario_serve") && err.contains("elastic_serve"),
+            "{err}"
+        );
     }
 }

@@ -39,8 +39,8 @@ use simpush::{
 };
 use simrank_common::stats::LatencySummary;
 use simrank_common::NodeId;
-use simrank_eval::mixed::{mixed_workload, open_loop_arrivals};
-use simrank_graph::{gen, CsrGraph, GraphStore, GraphUpdate, GraphView, MutableGraph};
+use simrank_eval::mixed::{mixed_workload, open_loop_arrivals, MixedWorkload};
+use simrank_graph::{gen, CsrGraph, GraphStore, GraphView};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,7 +101,7 @@ const VERDICT_LOAD: f64 = 1.5;
 /// catalog): constant mean rate, 70 % of arrivals coincident.
 const BURSTY_LOAD: f64 = 0.9;
 const BURSTY_BURSTINESS: f64 = 0.7;
-/// Ramp-segment burstiness (mildly bursty, like `frontend_serve`).
+/// Ramp-segment burstiness (mildly bursty).
 const RAMP_BURSTINESS: f64 = 0.1;
 /// Fraction of each segment's span discarded as warm-up, so the
 /// controller's convergence transient (and the static queue's fill
@@ -151,17 +151,6 @@ struct ReplayRecord {
     top: Vec<(NodeId, f64)>,
 }
 
-fn graph_after(base: &CsrGraph, updates: &[GraphUpdate], count: usize) -> CsrGraph {
-    let mut g = MutableGraph::from_csr(base);
-    for &u in &updates[..count] {
-        match u {
-            GraphUpdate::Insert(s, t) => g.insert_edge(s, t),
-            GraphUpdate::Remove(s, t) => g.remove_edge(s, t),
-        };
-    }
-    g.snapshot()
-}
-
 /// Runs every segment of the ramp against ONE long-lived front-end (the
 /// elastic story needs the controller's state to persist across load
 /// levels), with a writer pacing the update stream across the whole run.
@@ -170,7 +159,7 @@ fn graph_after(base: &CsrGraph, updates: &[GraphUpdate], count: usize) -> CsrGra
 fn run_ramp(
     engine: &SimPush,
     base: &CsrGraph,
-    updates: &Arc<Vec<GraphUpdate>>,
+    workload: &Arc<MixedWorkload>,
     plans: &[SegmentPlan],
     scale: &Scale,
     static_deadline: Duration,
@@ -202,12 +191,12 @@ fn run_ramp(
         .sum();
     let writer = {
         let store = store.clone();
-        let updates = updates.clone();
+        let workload = workload.clone();
         let batch = scale.updates_per_batch;
-        let num_batches = updates.len().div_ceil(batch).max(1);
+        let num_batches = workload.updates.len().div_ceil(batch).max(1);
         let pace = expected_total / num_batches as u32;
         std::thread::spawn(move || {
-            for chunk in updates.chunks(batch) {
+            for chunk in workload.updates.chunks(batch) {
                 store.commit(chunk);
                 std::thread::sleep(pace);
             }
@@ -292,11 +281,7 @@ fn run_ramp(
     // tuning schedule was live when they were answered.
     let step = (replays.len() / REPLAY_SAMPLES).max(1);
     for rec in replays.iter().step_by(step) {
-        let g = graph_after(
-            base,
-            updates,
-            (rec.epoch as usize * scale.updates_per_batch).min(updates.len()),
-        );
+        let g = workload.graph_after(base, rec.epoch as usize * scale.updates_per_batch);
         let solo = engine.query_seeded(&g, rec.node);
         assert_eq!(
             rec.top,
@@ -370,6 +355,9 @@ fn main() {
     for arg in std::env::args().skip(1) {
         if arg == "--smoke" {
             smoke = true;
+        } else if arg.starts_with("--") {
+            eprintln!("unknown option {arg}\nusage: elastic_serve [--smoke] [OUT.json]");
+            std::process::exit(2);
         } else {
             out_path = arg;
         }
@@ -377,21 +365,26 @@ fn main() {
     let scale = if smoke { SMOKE } else { FULL };
 
     let base = gen::copying_web(scale.nodes, scale.out_deg, COPY_PROB, GRAPH_SEED);
-    let workload = mixed_workload(&base, scale.updates, scale.query_pool, 0.3, WORKLOAD_SEED);
-    let updates = Arc::new(workload.updates.clone());
+    let workload = Arc::new(mixed_workload(
+        &base,
+        scale.updates,
+        scale.query_pool,
+        0.3,
+        WORKLOAD_SEED,
+    ));
     let engine = SimPush::new(Config::new(scale.epsilon));
     eprintln!(
         "[elastic_serve] graph n={} m={}, {} updates, query pool {}{}",
         base.num_nodes(),
         base.num_edges(),
-        updates.len(),
+        workload.updates.len(),
         workload.queries.len(),
         if smoke { " (smoke)" } else { "" }
     );
 
     // Calibration: closed-loop through the same front-end shape (quiescent
-    // store), exactly like `frontend_serve` — the achieved rate IS the
-    // capacity the ramp's load factors scale from.
+    // store) — the achieved rate IS the capacity the ramp's load factors
+    // scale from.
     let calib_store = Arc::new(GraphStore::new(base.clone()));
     let calib_frontend = Frontend::start(
         &engine,
@@ -495,7 +488,7 @@ fn main() {
     let (static_reports, _, _) = run_ramp(
         &engine,
         &base,
-        &updates,
+        &workload,
         &plans,
         &scale,
         static_deadline,
@@ -506,7 +499,7 @@ fn main() {
     let (controlled_reports, _, control_log) = run_ramp(
         &engine,
         &base,
-        &updates,
+        &workload,
         &plans,
         &scale,
         static_deadline,
@@ -570,7 +563,7 @@ fn main() {
         json,
         "  \"workload\": {{ \"queries\": {}, \"updates\": {}, \"updates_per_batch\": {}, \"seed\": {WORKLOAD_SEED} }},",
         workload.queries.len(),
-        updates.len(),
+        workload.updates.len(),
         scale.updates_per_batch
     )
     .unwrap();

@@ -1,14 +1,14 @@
 //! `scenario_serve` — machine-readable run of the named workload-scenario
 //! matrix against the serving front-end.
 //!
-//! Where `frontend_serve` sweeps *how much* traffic the `Frontend` can
-//! take, this bin fixes *what shape* the traffic has: it runs every
-//! scenario in [`simrank_eval::scenario::catalog`] — `read_heavy`,
-//! `update_heavy`, `zipf_hot`, `bursty`, `batch_scan`, `hot_flood` —
-//! through the real front-end (bounded admission queue, worker pool,
-//! deadlines, a paced update writer) and writes one JSON snapshot
-//! (`BENCH_scenarios.json`) with per-scenario SLO metrics: throughput,
-//! p95/p99 latency, reject rate, deadline-miss rate, queue depth.
+//! This bin fixes *what shape* the traffic has, not how much of it the
+//! `Frontend` can take: it runs every scenario in
+//! [`simrank_eval::scenario::catalog`] — `read_heavy`, `update_heavy`,
+//! `zipf_hot`, `bursty`, `batch_scan`, `hot_flood` — through the real
+//! front-end (bounded admission queue, worker pool, deadlines, a paced
+//! update writer) and writes one JSON snapshot (`BENCH_scenarios.json`)
+//! with per-scenario SLO metrics: throughput, p95/p99 latency, reject
+//! rate, deadline-miss rate, queue depth.
 //!
 //! Offered rates are multiples of calibrated capacity (a closed-loop run
 //! through the same front-end), so the numbers mean the same thing on a
@@ -193,6 +193,9 @@ fn main() {
     for arg in std::env::args().skip(1) {
         if arg == "--smoke" {
             smoke = true;
+        } else if arg.starts_with("--") {
+            eprintln!("unknown option {arg}\nusage: scenario_serve [--smoke] [OUT.json]");
+            std::process::exit(2);
         } else {
             out_path = arg;
         }

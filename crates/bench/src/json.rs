@@ -619,19 +619,18 @@ mod tests {
 
     #[test]
     fn round_trips_a_real_emitter_shape() {
-        // The exact shape dynamic_serve writes, shrunk.
+        // The exact shape scenario_serve writes, shrunk.
         let doc = parse(
-            "{\n  \"bench\": \"dynamic_serve\",\n  \"smoke\": true,\n  \"graph\": { \"nodes\": 500 },\n  \"store_batched\": {\n    \"avg_query_ns\": 12345,\n    \"queries_per_sec\": 630.5\n  }\n}\n",
+            "{\n  \"bench\": \"scenario_serve\",\n  \"smoke\": true,\n  \"graph\": { \"nodes\": 400 },\n  \"calibration\": {\n    \"mean_service_ns\": 12345,\n    \"capacity_qps\": 630.5\n  }\n}\n",
         )
         .unwrap();
         assert_eq!(
             doc.path("bench").and_then(Json::as_str),
-            Some("dynamic_serve")
+            Some("scenario_serve")
         );
         assert_eq!(doc.path("smoke").and_then(Json::as_bool), Some(true));
         assert_eq!(
-            doc.path("store_batched.queries_per_sec")
-                .and_then(Json::as_f64),
+            doc.path("calibration.capacity_qps").and_then(Json::as_f64),
             Some(630.5)
         );
     }

@@ -22,12 +22,10 @@ use std::time::Duration;
 
 /// A latency distribution summarised once from a sample set.
 ///
-/// The serve reports (`ServeReport`, `ShardedServeReport`,
-/// `ScenarioReport`) and the per-interval serving timelines all expose the
-/// same five statistics — mean, p50, p95, p99, max — and before this type
-/// each of them re-sorted the raw samples per accessor call. A
-/// `LatencySummary` sorts **once** at construction and answers every
-/// accessor from the precomputed fields.
+/// Everything that reports latency (`ServeReport::query_latencies`,
+/// `ScenarioReport`, the bench emitters) wants the same five statistics —
+/// mean, p50, p95, p99, max. A `LatencySummary` sorts **once** at
+/// construction and answers every accessor from the precomputed fields.
 ///
 /// Percentiles follow [`duration_percentile`] exactly (nearest-rank,
 /// `None` on empty); [`LatencySummary::mean`] returns `Duration::ZERO` on
@@ -107,57 +105,6 @@ impl LatencySummary {
     pub fn p99(&self) -> Option<Duration> {
         self.p99
     }
-}
-
-/// One fixed-width slice of a serving timeline.
-///
-/// Produced by [`bucket_timeline`]; the serve/scenario reports expose a
-/// `Vec<TimelineInterval>` so bench emitters and the elastic controller's
-/// offline analysis can see *when* a run degraded, not just its aggregate
-/// tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineInterval {
-    /// Zero-based interval index.
-    pub index: usize,
-    /// Offset of the interval's start from the run's start.
-    pub start: Duration,
-    /// Latency distribution of the events that completed in the interval.
-    pub latency: LatencySummary,
-}
-
-/// Buckets `(completion offset, latency)` events into fixed-width
-/// [`TimelineInterval`]s.
-///
-/// The timeline is dense: it spans interval 0 through the interval of the
-/// latest event, and intervals in which nothing completed carry an empty
-/// [`LatencySummary`] (percentiles `None`) rather than being skipped, so a
-/// stall is visible as a gap instead of silently compressing the x-axis.
-/// Returns an empty vec when there are no events.
-///
-/// # Panics
-/// Panics if `interval` is zero.
-pub fn bucket_timeline(
-    events: impl IntoIterator<Item = (Duration, Duration)>,
-    interval: Duration,
-) -> Vec<TimelineInterval> {
-    assert!(!interval.is_zero(), "timeline interval must be positive");
-    let mut buckets: Vec<Vec<Duration>> = Vec::new();
-    for (offset, latency) in events {
-        let idx = (offset.as_nanos() / interval.as_nanos()) as usize;
-        if idx >= buckets.len() {
-            buckets.resize_with(idx + 1, Vec::new);
-        }
-        buckets[idx].push(latency);
-    }
-    buckets
-        .into_iter()
-        .enumerate()
-        .map(|(index, samples)| TimelineInterval {
-            index,
-            start: interval * index as u32,
-            latency: LatencySummary::from_samples(samples),
-        })
-        .collect()
 }
 
 /// Nearest-rank percentile of a set of durations; `pct` is in `[0, 100]`.
@@ -289,35 +236,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s, LatencySummary::default());
-    }
-
-    #[test]
-    fn timeline_is_dense_and_buckets_by_completion_offset() {
-        // Events at 0.1s, 0.9s, 2.5s with a 1s interval: three intervals,
-        // the middle one (1s..2s) empty but present.
-        let events = [(ms(100), ms(5)), (ms(900), ms(7)), (ms(2500), ms(40))];
-        let tl = bucket_timeline(events, Duration::from_secs(1));
-        assert_eq!(tl.len(), 3);
-        assert_eq!(tl[0].start, Duration::ZERO);
-        assert_eq!(tl[0].latency.count(), 2);
-        // Nearest-rank on 2 samples: index (2-1)*99/100 = 0.
-        assert_eq!(tl[0].latency.p99(), Some(ms(5)));
-        assert_eq!(tl[0].latency.max(), Some(ms(7)));
-        assert_eq!(tl[1].start, Duration::from_secs(1));
-        assert_eq!(tl[1].latency, LatencySummary::default());
-        assert_eq!(tl[2].index, 2);
-        assert_eq!(tl[2].latency.p50(), Some(ms(40)));
-    }
-
-    #[test]
-    fn timeline_of_no_events_is_empty() {
-        assert!(bucket_timeline([], Duration::from_secs(1)).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn timeline_rejects_zero_interval() {
-        bucket_timeline([(ms(1), ms(1))], Duration::ZERO);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! [`ShardedSnapshot`](simrank_graph::ShardedSnapshot)s — bit-identically
 //! to the single-store path (`tests/prop_sharded.rs`).
 
+use crate::frontend::SnapshotSource;
 use crate::query::SimPush;
 use crate::workspace::QueryWorkspace;
-use simrank_common::stats::{bucket_timeline, LatencySummary, TimelineInterval};
+use simrank_common::stats::LatencySummary;
 use simrank_common::NodeId;
 use simrank_graph::{GraphStore, GraphUpdate, Partitioner, ShardedStore};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,8 +63,6 @@ pub struct QueryRecord {
     pub epoch: u64,
     /// End-to-end latency (snapshot acquisition + query).
     pub latency: Duration,
-    /// Completion offset from the run's start — the timeline x-axis.
-    pub offset: Duration,
     /// Top-`k` similar nodes (per [`ServeOptions::top_k`]).
     pub top: Vec<(NodeId, f64)>,
 }
@@ -99,43 +98,10 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// The whole-run query latency distribution, summarised once.
-    ///
-    /// All the percentile/mean accessors below delegate here, so every
-    /// figure the report exposes agrees with
-    /// [`LatencySummary`]'s nearest-rank definition.
+    /// The whole-run query latency distribution (mean, p50, p95, p99, max
+    /// by [`LatencySummary`]'s nearest-rank definition).
     pub fn query_latencies(&self) -> LatencySummary {
         LatencySummary::from_samples(self.queries.iter().map(|q| q.latency))
-    }
-
-    /// Mean query latency (zero if no queries ran).
-    pub fn avg_query_latency(&self) -> Duration {
-        self.query_latencies().mean()
-    }
-
-    /// 95th-percentile query latency (zero if no queries ran; nearest-rank
-    /// via [`LatencySummary`]).
-    pub fn p95_query_latency(&self) -> Duration {
-        self.query_latencies().p95().unwrap_or_default()
-    }
-
-    /// 99th-percentile query latency (zero if no queries ran) — the tail
-    /// figure latency SLOs are written against.
-    pub fn p99_query_latency(&self) -> Duration {
-        self.query_latencies().p99().unwrap_or_default()
-    }
-
-    /// Mean apply+publish latency per update batch (zero if no updates).
-    pub fn avg_update_latency(&self) -> Duration {
-        LatencySummary::from_samples(self.updates.iter().map(|u| u.latency)).mean()
-    }
-
-    /// Per-interval query-latency timeline (completion-time bucketing).
-    ///
-    /// Empty intervals are present with empty summaries, so a stall shows
-    /// as a gap. See [`bucket_timeline`].
-    pub fn timeline(&self, interval: Duration) -> Vec<TimelineInterval> {
-        bucket_timeline(self.queries.iter().map(|q| (q.offset, q.latency)), interval)
     }
 
     /// Query throughput over the run's wall clock.
@@ -147,9 +113,65 @@ impl ServeReport {
     }
 }
 
-/// Drives a mixed update/query workload against `store`: one writer thread
-/// commits `updates` in batches of [`updates_per_batch`](ServeOptions::updates_per_batch)
-/// while [`reader_threads`](ServeOptions::reader_threads) workers drain
+/// Runs `write` on the calling thread while `reader_threads` workers drain
+/// `queries` from a shared counter, each answering on the freshest snapshot
+/// of `store` with its own warm workspace. Returns what `write` returned
+/// and one [`QueryRecord`] per query, in input order.
+fn serve_with_readers<S: SnapshotSource, W>(
+    engine: &SimPush,
+    store: &S,
+    queries: &[NodeId],
+    reader_threads: usize,
+    top_k: usize,
+    write: impl FnOnce() -> W,
+) -> (W, Vec<QueryRecord>) {
+    let next_query = AtomicUsize::new(0);
+    let (written, mut indexed) = crossbeam::scope(|scope| {
+        let mut readers = Vec::with_capacity(reader_threads);
+        for _ in 0..reader_threads {
+            let next_query = &next_query;
+            readers.push(scope.spawn(move |_| {
+                let mut ws = QueryWorkspace::new();
+                let mut mine = Vec::new();
+                loop {
+                    // relaxed: the fetch_add's atomicity alone partitions
+                    // indices between readers; the queries slice is
+                    // immutable for the whole scope.
+                    let i = next_query.fetch_add(1, Ordering::Relaxed);
+                    if i >= queries.len() {
+                        return mine;
+                    }
+                    let t = Instant::now();
+                    let (snap, epoch) = store.acquire();
+                    let result = engine.query_seeded_with(&*snap, queries[i], &mut ws);
+                    mine.push((
+                        i,
+                        QueryRecord {
+                            node: queries[i],
+                            epoch,
+                            latency: t.elapsed(),
+                            top: result.top_k(top_k),
+                        },
+                    ));
+                }
+            }));
+        }
+        let written = write();
+        let indexed: Vec<(usize, QueryRecord)> = readers
+            .into_iter()
+            .flat_map(|h| h.join().expect("reader thread panicked"))
+            .collect();
+        (written, indexed)
+    })
+    .expect("serving scope panicked");
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    (written, indexed.into_iter().map(|(_, q)| q).collect())
+}
+
+/// Drives a mixed update/query workload against `store`: one writer (the
+/// calling thread) commits `updates` in batches of
+/// [`updates_per_batch`](ServeOptions::updates_per_batch) while
+/// [`reader_threads`](ServeOptions::reader_threads) workers drain
 /// `queries` from a shared counter, each answering on its own epoch
 /// snapshot with its own warm workspace.
 ///
@@ -177,73 +199,36 @@ pub fn serve_mixed(
 
     let compactions_before = store.compactions();
     let compaction_time_before = store.compaction_time();
-    let next_query = AtomicUsize::new(0);
     let start = Instant::now();
 
-    let (update_records, mut indexed_queries) = crossbeam::scope(|scope| {
-        // The writer: commit update batches, one publish per batch.
-        let writer = scope.spawn(|_| {
-            let mut records = Vec::with_capacity(updates.len() / opts.updates_per_batch + 1);
-            for batch in updates.chunks(opts.updates_per_batch) {
-                let t = Instant::now();
-                let (applied, info) = store.commit(batch);
-                records.push(UpdateRecord {
-                    applied,
-                    epoch: info.epoch,
-                    compacted: info.compacted,
-                    latency: t.elapsed(),
-                });
-            }
-            records
-        });
-
-        // The readers: drain the query stream on per-thread warm scratch.
-        let mut readers = Vec::with_capacity(opts.reader_threads);
-        for _ in 0..opts.reader_threads {
-            let next_query = &next_query;
-            readers.push(scope.spawn(move |_| {
-                let mut ws = QueryWorkspace::new();
-                let mut mine = Vec::new();
-                loop {
-                    // relaxed: the fetch_add's atomicity alone partitions
-                    // indices between readers; the queries slice is
-                    // immutable for the whole scope.
-                    let i = next_query.fetch_add(1, Ordering::Relaxed);
-                    if i >= queries.len() {
-                        return mine;
-                    }
-                    let t = Instant::now();
-                    let snap = store.snapshot();
-                    let result = engine.query_seeded_with(&*snap, queries[i], &mut ws);
-                    mine.push((
-                        i,
-                        QueryRecord {
-                            node: queries[i],
-                            epoch: snap.epoch(),
-                            latency: t.elapsed(),
-                            offset: start.elapsed(),
-                            top: result.top_k(opts.top_k),
-                        },
-                    ));
-                }
-            }));
+    // The writer: commit update batches, one publish per batch.
+    let write = || {
+        let mut records = Vec::with_capacity(updates.len() / opts.updates_per_batch + 1);
+        for batch in updates.chunks(opts.updates_per_batch) {
+            let t = Instant::now();
+            let (applied, info) = store.commit(batch);
+            records.push(UpdateRecord {
+                applied,
+                epoch: info.epoch,
+                compacted: info.compacted,
+                latency: t.elapsed(),
+            });
         }
+        records
+    };
+    let (update_records, query_records) = serve_with_readers(
+        engine,
+        store,
+        queries,
+        opts.reader_threads,
+        opts.top_k,
+        write,
+    );
 
-        let update_records = writer.join().expect("writer thread panicked");
-        let indexed: Vec<(usize, QueryRecord)> = readers
-            .into_iter()
-            .flat_map(|h| h.join().expect("reader thread panicked"))
-            .collect();
-        (update_records, indexed)
-    })
-    .expect("serving scope panicked");
-
-    let wall = start.elapsed();
-    indexed_queries.sort_unstable_by_key(|&(i, _)| i);
     ServeReport {
-        queries: indexed_queries.into_iter().map(|(_, q)| q).collect(),
+        queries: query_records,
         updates: update_records,
-        wall,
+        wall: start.elapsed(),
         final_epoch: store.epoch(),
         compactions: store.compactions() - compactions_before,
         compaction_time: store.compaction_time() - compaction_time_before,
@@ -304,9 +289,8 @@ pub struct ShardedServeReport {
     pub wall: Duration,
     /// Time from run start (before update routing) until every shard
     /// writer had committed its last batch and the final cut was
-    /// published — the update-side wall that
-    /// [`updates_per_sec`](Self::updates_per_sec) divides by, inclusive
-    /// of the routing cost an unsharded store would not pay.
+    /// published — the update-side wall, inclusive of the routing cost an
+    /// unsharded store would not pay.
     pub update_wall: Duration,
     /// Cut current when the run finished (== number of global batches).
     pub final_cut: u64,
@@ -316,58 +300,6 @@ pub struct ShardedServeReport {
     pub compactions: u64,
     /// Total time shard writers spent compacting during the run.
     pub compaction_time: Duration,
-}
-
-impl ShardedServeReport {
-    /// The whole-run query latency distribution, summarised once; every
-    /// percentile/mean accessor below delegates here.
-    pub fn query_latencies(&self) -> LatencySummary {
-        LatencySummary::from_samples(self.queries.iter().map(|q| q.latency))
-    }
-
-    /// Mean query latency (zero if no queries ran).
-    pub fn avg_query_latency(&self) -> Duration {
-        self.query_latencies().mean()
-    }
-
-    /// 95th-percentile query latency (zero if no queries ran; nearest-rank
-    /// via [`LatencySummary`]).
-    pub fn p95_query_latency(&self) -> Duration {
-        self.query_latencies().p95().unwrap_or_default()
-    }
-
-    /// 99th-percentile query latency (zero if no queries ran).
-    pub fn p99_query_latency(&self) -> Duration {
-        self.query_latencies().p99().unwrap_or_default()
-    }
-
-    /// Mean apply+publish latency per shard sub-batch commit.
-    pub fn avg_shard_commit_latency(&self) -> Duration {
-        LatencySummary::from_samples(self.shard_updates.iter().map(|u| u.latency)).mean()
-    }
-
-    /// Per-interval query-latency timeline (completion-time bucketing);
-    /// see [`bucket_timeline`].
-    pub fn timeline(&self, interval: Duration) -> Vec<TimelineInterval> {
-        bucket_timeline(self.queries.iter().map(|q| (q.offset, q.latency)), interval)
-    }
-
-    /// Query throughput over the run's wall clock.
-    pub fn queries_per_sec(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        self.queries.len() as f64 / self.wall.as_secs_f64()
-    }
-
-    /// Effective update throughput over the update-side wall — the figure
-    /// the `sharded_serve` K-sweep tracks.
-    pub fn updates_per_sec(&self) -> f64 {
-        if self.update_wall.is_zero() {
-            return 0.0;
-        }
-        self.effective_updates as f64 / self.update_wall.as_secs_f64()
-    }
 }
 
 /// Drives a mixed update/query workload against a [`ShardedStore`]: K
@@ -390,7 +322,7 @@ impl ShardedServeReport {
 /// # Panics
 /// Panics if `reader_threads` or `updates_per_batch` is 0, or if any query
 /// node or update endpoint is out of range for the store's node universe.
-pub fn serve_sharded<P: Partitioner + Clone + Sync>(
+pub fn serve_sharded<P: Partitioner + Clone + Sync + 'static>(
     engine: &SimPush,
     store: &ShardedStore<P>,
     queries: &[NodeId],
@@ -407,9 +339,6 @@ pub fn serve_sharded<P: Partitioner + Clone + Sync>(
     let compactions_before = store.compactions();
     let compaction_time_before = store.compaction_time();
     let barrier = Barrier::new(k);
-    let next_query = AtomicUsize::new(0);
-    let effective = AtomicUsize::new(0);
-    let update_wall_holder = std::sync::Mutex::new(Duration::ZERO);
     let start = Instant::now();
     // Route every global batch up front so writer threads spend their time
     // applying, not partitioning. Routing is part of the serving cost —
@@ -421,106 +350,66 @@ pub fn serve_sharded<P: Partitioner + Clone + Sync>(
         .map(|b| store.route_batch(b))
         .collect();
 
-    let (shard_records, mut indexed_queries) = crossbeam::scope(|scope| {
-        // K shard writers in lockstep over the global batches.
-        let mut writers = Vec::with_capacity(k);
-        for shard in 0..k {
-            let barrier = &barrier;
-            let batches = &batches;
-            let effective = &effective;
-            let update_wall_holder = &update_wall_holder;
-            writers.push(scope.spawn(move |_| {
-                let mut records = Vec::with_capacity(batches.len());
-                for (g, routed) in batches.iter().enumerate() {
-                    let sub = &routed[shard];
-                    let t = Instant::now();
-                    let applied = store.apply_shard(shard, sub);
-                    let info = store.publish_shard(shard);
-                    records.push(ShardUpdateRecord {
-                        shard,
-                        batch: g,
-                        applied,
-                        epoch: info.epoch,
-                        compacted: info.compacted,
-                        latency: t.elapsed(),
-                    });
-                    // relaxed: plain counter; read only after the
-                    // scope join below, which orders it.
-                    effective.fetch_add(applied, Ordering::Relaxed);
-                    // Cut protocol: wait for every shard to publish batch
-                    // g, let exactly one thread refresh the composite,
-                    // and only then release anyone into batch g + 1 (a
-                    // publish racing the refresh would tear the cut).
-                    if barrier.wait().is_leader() {
-                        store.refresh();
-                    }
-                    barrier.wait();
-                }
-                // The last writer out measures the update-side wall.
-                let elapsed = start.elapsed();
-                let mut wall = update_wall_holder.lock().unwrap_or_else(|p| p.into_inner());
-                if elapsed > *wall {
-                    *wall = elapsed;
-                }
-                records
-            }));
-        }
-
-        // Readers: drain the query stream on per-thread warm scratch.
-        let mut readers = Vec::with_capacity(opts.reader_threads);
-        for _ in 0..opts.reader_threads {
-            let next_query = &next_query;
-            readers.push(scope.spawn(move |_| {
-                let mut ws = QueryWorkspace::new();
-                let mut mine = Vec::new();
-                loop {
-                    // relaxed: the fetch_add's atomicity alone partitions
-                    // indices between readers; the queries slice is
-                    // immutable for the whole scope.
-                    let i = next_query.fetch_add(1, Ordering::Relaxed);
-                    if i >= queries.len() {
-                        return mine;
-                    }
-                    let t = Instant::now();
-                    let snap = store.snapshot();
-                    let result = engine.query_seeded_with(&*snap, queries[i], &mut ws);
-                    mine.push((
-                        i,
-                        QueryRecord {
-                            node: queries[i],
-                            epoch: snap.cut(),
+    // K shard writers in lockstep over the global batches.
+    let write = || {
+        let shard_records = crossbeam::scope(|scope| {
+            let mut writers = Vec::with_capacity(k);
+            for shard in 0..k {
+                let barrier = &barrier;
+                let batches = &batches;
+                writers.push(scope.spawn(move |_| {
+                    let mut records = Vec::with_capacity(batches.len());
+                    for (g, routed) in batches.iter().enumerate() {
+                        let sub = &routed[shard];
+                        let t = Instant::now();
+                        let applied = store.apply_shard(shard, sub);
+                        let info = store.publish_shard(shard);
+                        records.push(ShardUpdateRecord {
+                            shard,
+                            batch: g,
+                            applied,
+                            epoch: info.epoch,
+                            compacted: info.compacted,
                             latency: t.elapsed(),
-                            offset: start.elapsed(),
-                            top: result.top_k(opts.top_k),
-                        },
-                    ));
-                }
-            }));
-        }
+                        });
+                        // Cut protocol: wait for every shard to publish batch
+                        // g, let exactly one thread refresh the composite,
+                        // and only then release anyone into batch g + 1 (a
+                        // publish racing the refresh would tear the cut).
+                        if barrier.wait().is_leader() {
+                            store.refresh();
+                        }
+                        barrier.wait();
+                    }
+                    records
+                }));
+            }
+            let mut shard_records: Vec<ShardUpdateRecord> = Vec::new();
+            for w in writers {
+                shard_records.extend(w.join().expect("shard writer panicked"));
+            }
+            shard_records
+        })
+        .expect("shard writer scope panicked");
+        // Every writer has committed its last batch: the update-side wall.
+        (shard_records, start.elapsed())
+    };
+    let ((shard_records, update_wall), query_records) = serve_with_readers(
+        engine,
+        store,
+        queries,
+        opts.reader_threads,
+        opts.top_k,
+        write,
+    );
 
-        let mut shard_records: Vec<ShardUpdateRecord> = Vec::new();
-        for w in writers {
-            shard_records.extend(w.join().expect("shard writer panicked"));
-        }
-        let indexed: Vec<(usize, QueryRecord)> = readers
-            .into_iter()
-            .flat_map(|h| h.join().expect("reader thread panicked"))
-            .collect();
-        (shard_records, indexed)
-    })
-    .expect("sharded serving scope panicked");
-
-    let wall = start.elapsed();
-    let update_wall = *update_wall_holder.lock().unwrap_or_else(|p| p.into_inner());
-    indexed_queries.sort_unstable_by_key(|&(i, _)| i);
     ShardedServeReport {
-        queries: indexed_queries.into_iter().map(|(_, q)| q).collect(),
+        queries: query_records,
+        effective_updates: shard_records.iter().map(|r| r.applied).sum(),
         shard_updates: shard_records,
-        wall,
+        wall: start.elapsed(),
         update_wall,
         final_cut: store.cut(),
-        // relaxed: counter read after the scope join ordered every add.
-        effective_updates: effective.load(Ordering::Relaxed),
         compactions: store.compactions() - compactions_before,
         compaction_time: store.compaction_time() - compaction_time_before,
     }
@@ -602,21 +491,8 @@ mod tests {
         }
         assert_eq!(report.updates.len(), 5, "40 updates / batches of 8");
         assert_eq!(report.final_epoch, 5);
-        assert!(report.avg_query_latency() > Duration::ZERO);
+        assert!(report.query_latencies().mean() > Duration::ZERO);
         assert!(report.queries_per_sec() > 0.0);
-        // Percentiles share one nearest-rank definition: p99 can never sit
-        // below p95, and both are actual observed samples.
-        assert!(report.p99_query_latency() >= report.p95_query_latency());
-        assert!(report
-            .queries
-            .iter()
-            .any(|q| q.latency == report.p99_query_latency()));
-        // The timeline re-buckets exactly the recorded queries: per-interval
-        // counts sum back to the total, offsets stay within the wall clock.
-        let timeline = report.timeline(Duration::from_millis(1));
-        let bucketed: usize = timeline.iter().map(|iv| iv.latency.count()).sum();
-        assert_eq!(bucketed, report.queries.len());
-        assert!(report.queries.iter().all(|q| q.offset <= report.wall));
     }
 
     #[test]
@@ -702,7 +578,6 @@ mod tests {
             assert!(rec.shard < 3 && rec.batch < 6);
         }
         assert!(report.update_wall <= report.wall);
-        assert!(report.updates_per_sec() > 0.0);
 
         // Final state identical to a sequential replay.
         let mut replica = MutableGraph::from_csr(&base);

@@ -36,8 +36,15 @@ impl MixedWorkload {
     /// Replays the update stream onto a copy of `base`, returning the graph
     /// a store serving this workload ends at.
     pub fn final_graph(&self, base: &CsrGraph) -> CsrGraph {
+        self.graph_after(base, self.updates.len())
+    }
+
+    /// Replays the first `count` updates (clamped to the stream's length)
+    /// onto a copy of `base` — the graph of the epoch or cut that exactly
+    /// that prefix had been committed at.
+    pub fn graph_after(&self, base: &CsrGraph, count: usize) -> CsrGraph {
         let mut replica = MutableGraph::from_csr(base);
-        for &u in &self.updates {
+        for &u in &self.updates[..count.min(self.updates.len())] {
             let effective = match u {
                 GraphUpdate::Insert(s, t) => replica.insert_edge(s, t),
                 GraphUpdate::Remove(s, t) => replica.remove_edge(s, t),
@@ -378,8 +385,8 @@ mod tests {
         #[test]
         fn locality_survives_shard_count_halving_with_nested_ranges() {
             // A stream generated local at 8 range shards is local at 4, 2
-            // and 1 — the property the sharded_serve K-sweep relies on to
-            // reuse one workload across shard counts.
+            // and 1 — the property that lets one workload be reused across
+            // shard counts.
             let g = gen::gnm(160, 400, 12);
             let fine = RangePartitioner::new(160, 8);
             let wl = sharded_workload(&g, &fine, 150, 0, 0.25, 0.0, 13);

@@ -1,8 +1,8 @@
 //! Named workload scenarios: the regression-tested traffic surface of the
 //! serving stack.
 //!
-//! The offered-load sweep (`frontend_serve`) maps *how much* traffic the
-//! front-end survives; this module fixes *what shape* that traffic has. A
+//! An offered-load sweep maps *how much* traffic the front-end survives;
+//! this module fixes *what shape* that traffic has. A
 //! [`Scenario`] is a declarative description — traffic mix, key
 //! distribution, arrival shape, SLO targets — and [`run_scenario`] drives
 //! it through the **real** [`Frontend`] (bounded admission queue, worker
@@ -39,7 +39,7 @@ use rand::{Rng, SeedableRng};
 use simpush::{
     AnswerCache, AnswerCacheOptions, Frontend, FrontendOptions, QueryOutcome, SimPush, Ticket,
 };
-use simrank_common::stats::{bucket_timeline, LatencySummary, TimelineInterval};
+use simrank_common::stats::LatencySummary;
 use simrank_common::NodeId;
 use simrank_graph::{CsrGraph, GraphStore, GraphUpdate, GraphView};
 use std::sync::Arc;
@@ -411,13 +411,6 @@ pub struct ScenarioReport {
     /// Cache entries invalidated by support-set intersection with a
     /// publish's touched delta.
     pub cache_invalidations: u64,
-    /// `(completion offset, end-to-end latency)` per answered request, in
-    /// submission order — the input to [`ScenarioReport::timeline`].
-    ///
-    /// Offsets derive from the open-loop arrival schedule (arrival +
-    /// queue wait + service). Closed-loop runs have no arrival schedule,
-    /// so this is **empty** for them and the timeline is too.
-    pub completions: Vec<(Duration, Duration)>,
     /// Replayable records of every answered request, in submission order.
     pub answers: Vec<AnswerRecord>,
 }
@@ -444,13 +437,6 @@ impl ScenarioReport {
     pub fn meets(&self, slo: &SloTarget) -> bool {
         self.reject_rate() <= slo.max_reject_rate
             && self.deadline_miss_rate() <= slo.max_deadline_miss_rate
-    }
-
-    /// Per-interval latency timeline over the run (completion-time
-    /// bucketing of [`completions`](Self::completions); see
-    /// [`bucket_timeline`]). Empty for closed-loop scenarios.
-    pub fn timeline(&self, interval: Duration) -> Vec<TimelineInterval> {
-        bucket_timeline(self.completions.iter().copied(), interval)
     }
 
     /// Fraction of answers served from the cache; 0 for uncached runs.
@@ -584,10 +570,10 @@ pub fn run_scenario_cached(
     let frontend = Frontend::start(engine, store.clone(), frontend_opts.build());
 
     // Writer: pace the whole update stream across the expected duration so
-    // epochs advance under live traffic (exactly like frontend_serve). In
-    // cached runs the writer is also the invalidation source: each commit
-    // hands its touched-node delta to the cache, so only entries whose
-    // support intersects the publish stop being served.
+    // epochs advance under live traffic. In cached runs the writer is also
+    // the invalidation source: each commit hands its touched-node delta to
+    // the cache, so only entries whose support intersects the publish stop
+    // being served.
     let writer = {
         let store = store.clone();
         let cache = cache.clone();
@@ -606,36 +592,26 @@ pub fn run_scenario_cached(
         })
     };
 
-    // Drive the traffic and collect outcomes in submission order, each
-    // paired with its arrival offset (open loop only — closed loop has no
-    // arrival schedule, so its completions carry no offset).
+    // Drive the traffic and collect outcomes in submission order.
     let start = Instant::now();
-    let outcomes: Vec<(Option<Duration>, QueryOutcome)> = match scenario.arrivals {
+    let outcomes: Vec<QueryOutcome> = match scenario.arrivals {
         ArrivalShape::OpenLoop { .. } => {
             let schedule = arrivals.expect("open loop has a schedule");
-            let mut tickets: Vec<(Duration, Option<Ticket>)> = Vec::with_capacity(requests);
+            let mut tickets: Vec<Ticket> = Vec::with_capacity(requests);
             for (i, &offset) in schedule.iter().enumerate() {
                 let target = start + offset;
                 let now = Instant::now();
                 if target > now {
                     std::thread::sleep(target - now);
                 }
-                tickets.push((offset, frontend.try_submit(keys[i]).ok()));
+                tickets.extend(frontend.try_submit(keys[i]).ok());
             }
-            tickets
-                .into_iter()
-                .filter_map(|(offset, t)| t.map(|t| (Some(offset), t.wait())))
-                .collect()
+            tickets.into_iter().map(Ticket::wait).collect()
         }
         ArrivalShape::ClosedLoop { clients } => frontend
             .run_closed_loop(&keys, clients, Duration::from_secs(60))
             .into_iter()
-            .map(|r| {
-                (
-                    None,
-                    r.expect("closed-loop admission cannot time out at these scales"),
-                )
-            })
+            .map(|r| r.expect("closed-loop admission cannot time out at these scales"))
             .collect(),
     };
     let wall = start.elapsed();
@@ -660,17 +636,13 @@ pub fn run_scenario_cached(
 
     let mut latencies = Vec::with_capacity(outcomes.len());
     let mut queue_waits = Vec::with_capacity(outcomes.len());
-    let mut completions = Vec::with_capacity(outcomes.len());
     let mut answers = Vec::with_capacity(outcomes.len());
-    for (arrival, outcome) in outcomes {
+    for outcome in outcomes {
         match outcome {
             QueryOutcome::Answered(r) => {
                 let latency = r.queue_wait + r.service;
                 latencies.push(latency);
                 queue_waits.push(r.queue_wait);
-                if let Some(arrival) = arrival {
-                    completions.push((arrival + latency, latency));
-                }
                 answers.push(AnswerRecord {
                     node: r.node,
                     epoch: r.epoch,
@@ -717,7 +689,6 @@ pub fn run_scenario_cached(
         cache_misses: stats.cache_misses,
         cache_evictions: cache.as_ref().map_or(0, |c| c.stats().evictions),
         cache_invalidations: cache.as_ref().map_or(0, |c| c.stats().invalidations),
-        completions,
         answers,
     }
 }
@@ -864,9 +835,6 @@ mod tests {
         assert!(report.throughput_qps > 0.0);
         assert!(report.p99_latency.is_some());
         assert!(report.p50_latency <= report.p99_latency);
-        // Closed loop has no arrival schedule → no completion offsets.
-        assert!(report.completions.is_empty());
-        assert!(report.timeline(Duration::from_millis(10)).is_empty());
         // Scan keys: submission order is id order, wrap-around.
         for (i, rec) in report.answers.iter().enumerate() {
             assert_eq!(rec.node as usize, i % 80);
@@ -984,11 +952,5 @@ mod tests {
         assert!(
             report.final_epoch as usize <= report.updates.len().div_ceil(report.updates_per_batch)
         );
-        // One completion event per answered request; the timeline
-        // re-buckets exactly those events.
-        assert_eq!(report.completions.len(), report.answered as usize);
-        let timeline = report.timeline(Duration::from_millis(20));
-        let bucketed: usize = timeline.iter().map(|iv| iv.latency.count()).sum();
-        assert_eq!(bucketed, report.answered as usize);
     }
 }

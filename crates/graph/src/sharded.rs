@@ -26,8 +26,8 @@
 //! * **Smaller compaction domains.** A shard compaction rebuilds
 //!   `O(n + m_k)` instead of `O(n + m)`; with a locality-friendly
 //!   partitioner `m_k ≈ m / K`, so the amortised compaction cost per
-//!   update drops by up to K× even before any parallelism — the effect
-//!   the `sharded_serve` bench sweeps.
+//!   update drops by up to K× even before any parallelism (the
+//!   benchmark's `ingest_sharded` workload reads it off `sharded.*`).
 //!
 //! # Consistent cuts
 //!
@@ -103,10 +103,9 @@ impl Partitioner for HashPartitioner {
 /// `[k·⌈n/K⌉, (k+1)·⌈n/K⌉)`. Chunks **nest** when `n` is divisible by
 /// the shard counts involved: halving the shard count then exactly
 /// merges neighbouring chunks, so an update stream that is shard-local
-/// at `2K` shards stays local at `K` — which is what lets the
-/// `sharded_serve` K-sweep run one workload across every shard count
-/// (its `n` is divisible by 8). With a ragged `n` the coarser
-/// boundaries shift and nesting is only approximate.
+/// at `2K` shards stays local at `K` — which is what lets one generated
+/// workload be replayed across every shard count. With a ragged `n` the
+/// coarser boundaries shift and nesting is only approximate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangePartitioner {
     chunk: usize,

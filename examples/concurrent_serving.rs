@@ -13,6 +13,7 @@
 //! ```
 
 use simpush::{serve_mixed, Config, ServeOptions, SimPush};
+use simrank_suite::common::stats::LatencySummary;
 use simrank_suite::eval::mixed::mixed_workload;
 use simrank_suite::prelude::*;
 
@@ -53,14 +54,15 @@ fn main() {
         report.wall,
         report.queries_per_sec()
     );
+    let latency = report.query_latencies();
     println!(
         "query latency        : {:>10.2?} avg, {:.2?} p95",
-        report.avg_query_latency(),
-        report.p95_query_latency()
+        latency.mean(),
+        latency.p95().unwrap_or_default()
     );
     println!(
         "update batch latency : {:>10.2?} avg (apply + publish)",
-        report.avg_update_latency()
+        LatencySummary::from_samples(report.updates.iter().map(|u| u.latency)).mean()
     );
     println!(
         "epochs published     : {:>10}  ({} compactions, {:.2?} compacting)",

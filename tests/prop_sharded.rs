@@ -63,7 +63,7 @@ proptest! {
         base in arb_graph(26, 80),
         ops in proptest::collection::vec((0u8..3, 0usize..10_000, 0usize..10_000), 0..50),
         batch_size in 1usize..12,
-        shards in 1usize..5,
+        shards in 1usize..9,
         use_range in any::<bool>(),
         eps in 0.02f64..0.1,
         threshold in 1usize..10,
