@@ -22,7 +22,7 @@
 //! It is **not** a parser: it never errors, and on malformed input (an
 //! unterminated string, say) it degrades by consuming to end of input —
 //! for a linter that must run on every tree state, "lex something
-//! reasonable" beats "refuse to analyze". Like `simrank_bench::json`,
+//! reasonable" beats "refuse to analyze". Like the rest of this crate,
 //! clarity wins over speed everywhere; the whole workspace lexes in
 //! milliseconds.
 

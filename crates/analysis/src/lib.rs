@@ -13,7 +13,7 @@
 //! code (wrong only on the input nobody tried).
 //!
 //! The pipeline is three small stages, in the house style of
-//! `simrank_bench::json` — no dependencies, clarity over speed:
+//! `vendor/` — no dependencies, clarity over speed:
 //!
 //! 1. [`lexer`] — a minimal Rust lexer with line-accurate spans, whose
 //!    one job is making sure comments and string literals can never

@@ -243,7 +243,7 @@ fn library() {}
         assert!(lib.is_library() && lib.is_answer_affecting());
         let bench_lib = SourceFile::new("crates/bench/src/json.rs", "");
         assert!(bench_lib.is_library() && !bench_lib.is_answer_affecting());
-        let bin = SourceFile::new("crates/bench/src/bin/check_bench_json.rs", "");
+        let bin = SourceFile::new("crates/bench/src/bin/scenario_serve.rs", "");
         assert!(!bin.is_library());
         let umbrella = SourceFile::new("src/lib.rs", "");
         assert!(umbrella.is_library() && !umbrella.is_answer_affecting());

@@ -17,21 +17,33 @@
 //!   park/unpark when idle. Overload is shed at admission and at dequeue,
 //!   so the requests that *are* answered keep their latency budget.
 //!
-//! The emitted `BENCH_elastic_serve.json` records both sides of every
-//! ramp segment plus an SLO verdict: at ≥ 1.5× capacity the controlled
-//! run must meet the p99 objective that the static run misses. CI runs
-//! `--smoke` and validates schema + ranges with `check_bench_json`; the
-//! committed full run is the regression baseline.
+//! One row per segment puts both sides next to each other, and the typed
+//! reports are judged in place (`ramp_violations`): on every `ramp`
+//! segment at ≥ 1.5× capacity a **full** run must show the controlled
+//! side meeting the p99 objective that the static side misses (a static
+//! side that meets it means the ramp is not saturating and proves
+//! nothing), with controlled p99 no worse than static. A `--smoke` run
+//! on a CI box is too noisy for an absolute SLO, so there only the sign
+//! of the effect is pinned: controlled p99 at most 1.5× static on those
+//! segments, and at least one tighten. At both scales both sides of every
+//! segment must have answered at a positive rate with a steady-state p99
+//! sample, the controller must have ticked and calibration must be
+//! positive. At full scale the verdict has not held since the median
+//! query became ≈25× cheaper than the tail the SLO is anchored on
+//! (ROADMAP open items).
 //!
 //! Answers stay replayable under every tuning schedule: each response
 //! records its epoch, and a sample of answers is re-checked against a
-//! cold rebuild of that epoch's graph before the JSON is written
+//! cold rebuild of that epoch's graph before anything is judged
 //! (`tests/prop_control.rs` pins the same property under adversarial
 //! schedules).
 //!
 //! ```text
-//! cargo run --release -p simrank_bench --bin elastic_serve [--smoke] [OUT.json]
+//! cargo run --release -p simrank_bench --bin elastic_serve [--smoke]
 //! ```
+//!
+//! Exit code 0: the verdict holds. 1: a rule is violated; every violated
+//! rule is printed last as `VERDICT FAILED: <rule>`. 2: usage.
 
 use simpush::{
     Config, ControlLog, Controller, ControllerOptions, Frontend, FrontendOptions, QueryOutcome,
@@ -40,8 +52,9 @@ use simpush::{
 use simrank_common::stats::LatencySummary;
 use simrank_common::NodeId;
 use simrank_eval::mixed::{mixed_workload, open_loop_arrivals, MixedWorkload};
+use simrank_eval::scenario::submit_open_loop;
 use simrank_graph::{gen, CsrGraph, GraphStore, GraphView};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,8 +89,8 @@ const FULL: Scale = Scale {
 };
 
 /// CI scale: tiny graph, short segments, fast controller tick — enough to
-/// exercise calibration, both ramp passes, the controller loop and the
-/// JSON schema end to end in a few seconds.
+/// exercise calibration, both ramp passes, the controller loop and every
+/// verdict rule end to end in a few seconds.
 const SMOKE: Scale = Scale {
     nodes: 400,
     out_deg: 4,
@@ -108,22 +121,17 @@ const RAMP_BURSTINESS: f64 = 0.1;
 /// transient) don't pollute the steady-state percentiles. Applied
 /// identically to both modes.
 const WARMUP_FRACTION: f64 = 0.25;
-/// Answered records replay-checked per mode before the JSON is written.
+/// Answered records replay-checked per mode before anything is judged.
 const REPLAY_SAMPLES: usize = 8;
 
 const COPY_PROB: f64 = 0.75;
 const GRAPH_SEED: u64 = 7;
 const WORKLOAD_SEED: u64 = 4242;
 
-fn ns(d: Duration) -> u128 {
-    d.as_nanos()
-}
-
 /// One ramp segment's pre-generated traffic.
 struct SegmentPlan {
     name: &'static str,
     load_factor: f64,
-    burstiness: f64,
     arrivals: Vec<Duration>,
     keys: Vec<NodeId>,
 }
@@ -135,12 +143,17 @@ struct SegmentReport {
     rejected: u64,
     answered: u64,
     deadline_misses: u64,
-    cancelled: u64,
     throughput_qps: f64,
     /// Steady-state (post-warm-up) answered latencies.
     latency: LatencySummary,
-    slo_met: bool,
-    wall: Duration,
+}
+
+impl SegmentReport {
+    /// Steady-state p99 within `slo_p99`; a segment that answered nothing
+    /// did not meet its SLO.
+    fn meets(&self, slo_p99: Duration) -> bool {
+        self.latency.p99().is_some_and(|p99| p99 <= slo_p99)
+    }
 }
 
 /// A replayable answered record: epoch `epoch` is the base graph plus the
@@ -154,8 +167,8 @@ struct ReplayRecord {
 /// Runs every segment of the ramp against ONE long-lived front-end (the
 /// elastic story needs the controller's state to persist across load
 /// levels), with a writer pacing the update stream across the whole run.
-/// Returns per-segment reports plus sampled replay records.
-#[allow(clippy::too_many_arguments)]
+/// Returns per-segment reports plus the controller's log, after
+/// replay-checking a sample of the answers.
 fn run_ramp(
     engine: &SimPush,
     base: &CsrGraph,
@@ -163,9 +176,8 @@ fn run_ramp(
     plans: &[SegmentPlan],
     scale: &Scale,
     static_deadline: Duration,
-    slo_p99: Duration,
     controller_opts: Option<ControllerOptions>,
-) -> (Vec<SegmentReport>, Vec<ReplayRecord>, Option<ControlLog>) {
+) -> (Vec<SegmentReport>, Option<ControlLog>) {
     let store = Arc::new(GraphStore::with_compaction_threshold(
         base.clone(),
         scale.compact_threshold,
@@ -210,24 +222,14 @@ fn run_ramp(
         let warmup = span.mul_f64(WARMUP_FRACTION);
         let before = frontend.stats();
         let start = Instant::now();
-        let mut tickets: Vec<(Duration, Ticket)> = Vec::with_capacity(plan.arrivals.len());
-        for (i, &offset) in plan.arrivals.iter().enumerate() {
-            let target = start + offset;
-            let now = Instant::now();
-            if target > now {
-                std::thread::sleep(target - now);
-            }
-            if let Ok(ticket) = frontend.try_submit(plan.keys[i]) {
-                tickets.push((offset, ticket));
-            }
-        }
+        let tickets = submit_open_loop(&frontend, start, &plan.arrivals, &plan.keys);
         // Drain the segment: every accepted request resolves exactly once.
         let mut steady = Vec::with_capacity(tickets.len());
         let mut steady_service = Vec::with_capacity(tickets.len());
-        for (arrival, ticket) in tickets {
+        for (i, ticket) in tickets {
             match ticket.wait() {
                 QueryOutcome::Answered(r) => {
-                    if arrival >= warmup {
+                    if plan.arrivals[i] >= warmup {
                         steady.push(r.queue_wait + r.service);
                         steady_service.push(r.service);
                     }
@@ -243,12 +245,11 @@ fn run_ramp(
         }
         let wall = start.elapsed();
         let after = frontend.stats();
-        let latency = LatencySummary::from_samples(steady.iter().copied());
         eprintln!(
             "[elastic_serve]   {} {:.1}x service p99 {:?}",
             plan.name,
             plan.load_factor,
-            LatencySummary::from_samples(steady_service.iter().copied())
+            LatencySummary::from_samples(steady_service)
                 .p99()
                 .unwrap_or_default()
         );
@@ -259,16 +260,12 @@ fn run_ramp(
             rejected: after.rejected - before.rejected,
             answered,
             deadline_misses: after.deadline_misses - before.deadline_misses,
-            cancelled: after.cancelled - before.cancelled,
             throughput_qps: if wall.is_zero() {
                 0.0
             } else {
                 answered as f64 / wall.as_secs_f64()
             },
-            latency,
-            // A segment that answered nothing did not meet its SLO.
-            slo_met: latency.p99().is_some_and(|p99| p99 <= slo_p99),
-            wall,
+            latency: LatencySummary::from_samples(steady),
         });
     }
 
@@ -291,77 +288,126 @@ fn run_ramp(
             rec.node
         );
     }
-    (reports, replays, log)
+    (reports, log)
 }
 
-fn segment_json(json: &mut String, indent: &str, r: &SegmentReport) {
-    let accepted = r.accepted.max(1) as f64;
-    writeln!(json, "{indent}{{").unwrap();
-    writeln!(json, "{indent}  \"requests\": {},", r.requests).unwrap();
-    writeln!(json, "{indent}  \"accepted\": {},", r.accepted).unwrap();
-    writeln!(json, "{indent}  \"rejected\": {},", r.rejected).unwrap();
-    writeln!(json, "{indent}  \"answered\": {},", r.answered).unwrap();
-    writeln!(
-        json,
-        "{indent}  \"deadline_misses\": {},",
-        r.deadline_misses
-    )
-    .unwrap();
-    writeln!(json, "{indent}  \"cancelled\": {},", r.cancelled).unwrap();
-    writeln!(
-        json,
-        "{indent}  \"reject_rate\": {:.4},",
-        r.rejected as f64 / r.requests as f64
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "{indent}  \"deadline_miss_rate\": {:.4},",
-        r.deadline_misses as f64 / accepted
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "{indent}  \"throughput_qps\": {:.1},",
-        r.throughput_qps
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "{indent}  \"p50_latency_ns\": {},",
-        ns(r.latency.p50().unwrap_or_default())
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "{indent}  \"p95_latency_ns\": {},",
-        ns(r.latency.p95().unwrap_or_default())
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "{indent}  \"p99_latency_ns\": {},",
-        ns(r.latency.p99().unwrap_or_default())
-    )
-    .unwrap();
-    writeln!(json, "{indent}  \"slo_met\": {},", r.slo_met).unwrap();
-    writeln!(json, "{indent}  \"wall_ns\": {}", ns(r.wall)).unwrap();
-    write!(json, "{indent}}}").unwrap();
+/// One ramp segment measured both ways.
+struct Segment {
+    name: &'static str,
+    load_factor: f64,
+    fixed: SegmentReport,
+    controlled: SegmentReport,
 }
 
-fn main() {
-    let mut smoke = false;
-    let mut out_path = "BENCH_elastic_serve.json".to_owned();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else if arg.starts_with("--") {
-            eprintln!("unknown option {arg}\nusage: elastic_serve [--smoke] [OUT.json]");
-            std::process::exit(2);
-        } else {
-            out_path = arg;
+/// Every rule of the ramp verdict (module docs) that the run breaks, one
+/// message each; empty means the verdict holds. Only the steady `ramp`
+/// segments offered at ≥ [`VERDICT_LOAD`]× capacity carry the headline
+/// rules — `bursty` rides along for colour — and there must be one.
+fn ramp_violations(
+    segments: &[Segment],
+    slo_p99: Duration,
+    log: &ControlLog,
+    smoke: bool,
+) -> Vec<String> {
+    let mut broken = Vec::new();
+    let mut high_segments = 0;
+    for seg in segments {
+        let at = format!("{} {:.1}x", seg.name, seg.load_factor);
+        for (side, r) in [("static", &seg.fixed), ("controlled", &seg.controlled)] {
+            let rules = [
+                (r.answered >= 1, "answered nothing"),
+                (r.throughput_qps >= 0.1, "throughput < 0.1 q/s"),
+                (
+                    r.latency.p99().is_some_and(|p99| !p99.is_zero()),
+                    "no steady-state p99 sample",
+                ),
+                (r.rejected <= r.requests as u64, "rejected > requests"),
+                (
+                    r.deadline_misses <= r.accepted,
+                    "deadline_misses > accepted",
+                ),
+            ];
+            broken.extend(
+                rules
+                    .iter()
+                    .filter(|(holds, _)| !holds)
+                    .map(|(_, rule)| format!("{at}: {side} run {rule}")),
+            );
+        }
+        if seg.name != "ramp" || seg.load_factor < VERDICT_LOAD - 1e-9 {
+            continue;
+        }
+        high_segments += 1;
+        let fixed_p99 = seg.fixed.latency.p99().unwrap_or_default();
+        let controlled_p99 = seg.controlled.latency.p99().unwrap_or_default();
+        if smoke {
+            if controlled_p99.as_secs_f64() > 1.5 * fixed_p99.as_secs_f64() {
+                broken.push(format!(
+                    "{at}: controlled p99 {controlled_p99:.3?} exceeds 1.5x static p99 \
+                     {fixed_p99:.3?} — the control plane is not helping"
+                ));
+            }
+            continue;
+        }
+        if controlled_p99 > fixed_p99 {
+            broken.push(format!(
+                "{at}: controlled p99 {controlled_p99:.3?} exceeds static p99 {fixed_p99:.3?}"
+            ));
+        }
+        if !seg.controlled.meets(slo_p99) {
+            broken.push(format!(
+                "{at}: controlled run misses the p99 SLO ({controlled_p99:.3?} > {slo_p99:.3?})"
+            ));
+        }
+        if seg.fixed.meets(slo_p99) {
+            broken.push(format!(
+                "{at}: static run meets the p99 SLO — the ramp is not saturating and proves nothing"
+            ));
         }
     }
+    if high_segments == 0 {
+        broken.push(format!("no ramp segment reaches {VERDICT_LOAD}x load"));
+    }
+    if log.ticks == 0 {
+        broken.push("controller never ticked".to_owned());
+    }
+    if smoke && log.tighten_count() == 0 {
+        broken.push("controller never tightened under a 2.5x overload ramp".to_owned());
+    }
+    broken
+}
+
+/// The rules a usable calibration obeys, one message per broken one. The
+/// SLO (≥ 16× mean service) and the sojourn target (2× mean) are positive
+/// whenever the mean is, so they need no rule of their own.
+fn calibration_violations(
+    capacity_qps: f64,
+    mean_service: Duration,
+    service_p99: Duration,
+    static_deadline: Duration,
+) -> Vec<String> {
+    [
+        (!mean_service.is_zero(), "mean service time is zero"),
+        (!service_p99.is_zero(), "p99 service time is zero"),
+        (capacity_qps >= 0.1, "capacity < 0.1 q/s"),
+        (
+            static_deadline >= Duration::from_micros(1),
+            "static deadline < 1 µs",
+        ),
+    ]
+    .iter()
+    .filter(|(holds, _)| !holds)
+    .map(|(_, rule)| format!("calibration: {rule}"))
+    .collect()
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|arg| arg != "--smoke") {
+        eprintln!("usage: elastic_serve [--smoke]");
+        return ExitCode::from(2);
+    }
+    let smoke = !args.is_empty();
     let scale = if smoke { SMOKE } else { FULL };
 
     let base = gen::copying_web(scale.nodes, scale.out_deg, COPY_PROB, GRAPH_SEED);
@@ -417,7 +463,7 @@ fn main() {
     let calib_wall = calib_start.elapsed();
     calib_frontend.shutdown();
     let capacity_qps = scale.calib_requests as f64 / calib_wall.as_secs_f64();
-    let service_summary = LatencySummary::from_samples(services.iter().copied());
+    let service_summary = LatencySummary::from_samples(services);
     let mean_service = service_summary.mean();
     let service_p99 = service_summary.p99().expect("calibration answered");
 
@@ -447,9 +493,8 @@ fn main() {
         calm_ticks: 5,
         cooldown_ticks: 2,
     };
-    eprintln!(
-        "[elastic_serve] calibrated: capacity {capacity_qps:.0} q/s, mean service {mean_service:?}, SLO p99 {slo_p99:?}, static deadline {static_deadline:?}"
-    );
+    let mut broken =
+        calibration_violations(capacity_qps, mean_service, service_p99, static_deadline);
 
     // Pre-generate every segment's traffic once: both modes replay the
     // SAME arrival offsets and key sequence, so the comparison isolates
@@ -462,7 +507,6 @@ fn main() {
         SegmentPlan {
             name,
             load_factor,
-            burstiness,
             arrivals: open_loop_arrivals(requests, mean_gap, burstiness, seed),
             keys: (0..requests)
                 .map(|i| workload.queries[(i + seed as usize) % workload.queries.len()])
@@ -485,162 +529,240 @@ fn main() {
     ));
 
     eprintln!("[elastic_serve] static ramp…");
-    let (static_reports, _, _) = run_ramp(
+    let (static_reports, _) = run_ramp(
         &engine,
         &base,
         &workload,
         &plans,
         &scale,
         static_deadline,
-        slo_p99,
         None,
     );
     eprintln!("[elastic_serve] controlled ramp…");
-    let (controlled_reports, _, control_log) = run_ramp(
+    let (controlled_reports, control_log) = run_ramp(
         &engine,
         &base,
         &workload,
         &plans,
         &scale,
         static_deadline,
-        slo_p99,
         Some(controller_opts),
     );
     let control_log = control_log.expect("controlled ramp has a log");
+    let segments: Vec<Segment> = plans
+        .iter()
+        .zip(static_reports.into_iter().zip(controlled_reports))
+        .map(|(plan, (fixed, controlled))| Segment {
+            name: plan.name,
+            load_factor: plan.load_factor,
+            fixed,
+            controlled,
+        })
+        .collect();
 
-    for ((plan, s), c) in plans.iter().zip(&static_reports).zip(&controlled_reports) {
-        eprintln!(
-            "[elastic_serve] {} {:.1}x: static p99 {:?} (slo_met {}) | controlled p99 {:?} (slo_met {}, rejected {})",
-            plan.name,
-            plan.load_factor,
-            s.latency.p99().unwrap_or_default(),
-            s.slo_met,
-            c.latency.p99().unwrap_or_default(),
-            c.slo_met,
-            c.rejected,
+    println!(
+        "{:<7} {:>5} | {:>12} {:>7} {:>8} | {:>12} {:>7} {:>8}",
+        "segment",
+        "load",
+        "static p99",
+        "slo_met",
+        "reject %",
+        "control p99",
+        "slo_met",
+        "reject %"
+    );
+    // A side that answered nothing in steady state has no p99; `-` next
+    // to slo_met false is unambiguous.
+    let side = |r: &SegmentReport| {
+        format!(
+            "{:>12} {:>7} {:>8.1}",
+            r.latency
+                .p99()
+                .map_or("-".to_owned(), |p99| format!("{p99:.3?}")),
+            r.meets(slo_p99),
+            100.0 * r.rejected as f64 / r.requests as f64
+        )
+    };
+    for seg in &segments {
+        println!(
+            "{:<7} {:>4.1}x | {} | {}",
+            seg.name,
+            seg.load_factor,
+            side(&seg.fixed),
+            side(&seg.controlled)
         );
     }
-    eprintln!(
-        "[elastic_serve] controller: {} ticks, {} tightens, {} relaxes",
+    println!(
+        "calibration: capacity {capacity_qps:.0} q/s, mean service {mean_service:.3?}, service p99 {service_p99:.3?}, SLO p99 {slo_p99:.3?}, static deadline {static_deadline:.3?}"
+    );
+    println!(
+        "controller: {} ticks, {} tightens, {} relaxes",
         control_log.ticks,
         control_log.tighten_count(),
         control_log.relax_count()
     );
 
-    // The verdict the acceptance criterion (and CI's range rule) reads:
-    // on every ramp segment at ≥ VERDICT_LOAD× capacity the controlled
-    // run holds the p99 SLO the static run misses.
-    let high = |name: &str, load: f64| name == "ramp" && load >= VERDICT_LOAD - 1e-9;
-    let controlled_holds = plans
-        .iter()
-        .zip(&controlled_reports)
-        .filter(|(p, _)| high(p.name, p.load_factor))
-        .all(|(_, r)| r.slo_met);
-    let static_misses = plans
-        .iter()
-        .zip(&static_reports)
-        .filter(|(p, _)| high(p.name, p.load_factor))
-        .all(|(_, r)| !r.slo_met);
-    let controlled_never_slower = plans
-        .iter()
-        .zip(static_reports.iter().zip(&controlled_reports))
-        .filter(|(p, _)| high(p.name, p.load_factor))
-        .all(|(_, (s, c))| c.latency.p99() <= s.latency.p99());
+    broken.extend(ramp_violations(&segments, slo_p99, &control_log, smoke));
+    simrank_bench::verdict_exit_code(&broken)
+}
 
-    let mut json = String::new();
-    // Hand-rolled JSON: the workspace intentionally has no serde. The
-    // check_bench_json binary validates schema AND numeric ranges in CI.
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"bench\": \"elastic_serve\",").unwrap();
-    writeln!(json, "  \"smoke\": {smoke},").unwrap();
-    writeln!(
-        json,
-        "  \"graph\": {{ \"family\": \"copying_web\", \"nodes\": {}, \"out_degree\": {}, \"copy_prob\": {COPY_PROB}, \"seed\": {GRAPH_SEED} }},",
-        scale.nodes, scale.out_deg
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"workload\": {{ \"queries\": {}, \"updates\": {}, \"updates_per_batch\": {}, \"seed\": {WORKLOAD_SEED} }},",
-        workload.queries.len(),
-        workload.updates.len(),
-        scale.updates_per_batch
-    )
-    .unwrap();
-    writeln!(json, "  \"epsilon\": {},", scale.epsilon).unwrap();
-    writeln!(
-        json,
-        "  \"options\": {{ \"workers\": {}, \"queue_capacity\": {}, \"static_deadline_ms\": {:.3}, \"top_k\": 1 }},",
-        scale.workers,
-        scale.queue_capacity,
-        static_deadline.as_secs_f64() * 1e3
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"calibration\": {{ \"requests\": {}, \"mean_service_ns\": {}, \"p99_service_ns\": {}, \"capacity_qps\": {capacity_qps:.1} }},",
-        scale.calib_requests,
-        ns(mean_service),
-        ns(service_p99)
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"slo\": {{ \"p99_ns\": {}, \"target_sojourn_ns\": {}, \"tick_ms\": {:.1}, \"warmup_fraction\": {WARMUP_FRACTION} }},",
-        ns(slo_p99),
-        ns(mean_service * 2),
-        scale.tick.as_secs_f64() * 1e3
-    )
-    .unwrap();
-    writeln!(json, "  \"ramp\": [").unwrap();
-    let ramp_count = plans.len();
-    for (i, ((plan, s), c)) in plans
-        .iter()
-        .zip(&static_reports)
-        .zip(&controlled_reports)
-        .enumerate()
-    {
-        writeln!(json, "    {{").unwrap();
-        writeln!(json, "      \"segment\": \"{}\",", plan.name).unwrap();
-        writeln!(json, "      \"load_factor\": {},", plan.load_factor).unwrap();
-        writeln!(json, "      \"burstiness\": {},", plan.burstiness).unwrap();
-        writeln!(json, "      \"static\":").unwrap();
-        segment_json(&mut json, "      ", s);
-        writeln!(json, ",").unwrap();
-        writeln!(json, "      \"controlled\":").unwrap();
-        segment_json(&mut json, "      ", c);
-        writeln!(json).unwrap();
-        writeln!(json, "    }}{}", if i + 1 == ramp_count { "" } else { "," }).unwrap();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simpush::{ActiveTuning, ControlReason, ControlRecord, TickObservation};
+
+    const SLO: Duration = Duration::from_micros(100);
+
+    /// A healthy side whose steady-state p99 is `p99_us`.
+    fn side(p99_us: u64) -> SegmentReport {
+        SegmentReport {
+            requests: 100,
+            accepted: 100,
+            rejected: 0,
+            answered: 100,
+            deadline_misses: 0,
+            throughput_qps: 50.0,
+            latency: LatencySummary::from_samples([Duration::from_micros(p99_us)]),
+        }
     }
-    writeln!(json, "  ],").unwrap();
-    let final_tuning = control_log.records.last().map(|r| r.applied.clone());
-    writeln!(
-        json,
-        "  \"control\": {{ \"ticks\": {}, \"actuations\": {}, \"tightens\": {}, \"relaxes\": {}, \"final_deadline_ms\": {:.3}, \"final_quota\": {} }},",
-        control_log.ticks,
-        control_log.records.len(),
-        control_log.tighten_count(),
-        control_log.relax_count(),
-        final_tuning
-            .as_ref()
-            .and_then(|t| t.deadline)
-            .unwrap_or(static_deadline)
-            .as_secs_f64()
-            * 1e3,
-        final_tuning
-            .as_ref()
-            .and_then(|t| t.admission_quota)
-            .map_or_else(|| "null".to_owned(), |q| q.to_string())
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"verdict\": {{ \"comparison_load\": {VERDICT_LOAD}, \"controlled_holds_slo_at_high_load\": {controlled_holds}, \"static_misses_slo_at_high_load\": {static_misses}, \"controlled_p99_not_above_static_at_high_load\": {controlled_never_slower} }}"
-    )
-    .unwrap();
-    writeln!(json, "}}").unwrap();
 
-    std::fs::write(&out_path, &json).expect("write benchmark snapshot");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
+    fn ramp(load_factor: f64, fixed_us: u64, controlled_us: u64) -> Segment {
+        Segment {
+            name: "ramp",
+            load_factor,
+            fixed: side(fixed_us),
+            controlled: side(controlled_us),
+        }
+    }
+
+    /// A log of `ticks` ticks whose only actuations are `tightens` tightens.
+    fn log(ticks: u64, tightens: u64) -> ControlLog {
+        let record = |tick| ControlRecord {
+            tick,
+            observation: TickObservation {
+                sojourn_p99: None,
+                latency_p99: None,
+                queue_depth: 0,
+                accepted: 0,
+                rejected: 0,
+                answered: 0,
+                deadline_misses: 0,
+            },
+            applied: ActiveTuning {
+                deadline: None,
+                admission_quota: None,
+                max_stale_epochs: 0,
+                worker_target: 1,
+            },
+            reason: ControlReason::Tighten,
+        };
+        ControlLog {
+            records: (1..=tightens).map(record).collect(),
+            ticks,
+        }
+    }
+
+    #[track_caller]
+    fn assert_broken(broken: &[String], rules: &[&str]) {
+        assert_eq!(broken.len(), rules.len(), "{broken:?}");
+        for (got, want) in broken.iter().zip(rules) {
+            assert!(got.contains(want), "{got:?} does not name {want:?}");
+        }
+    }
+
+    #[test]
+    fn smoke_pins_only_the_sign_of_the_effect() {
+        // Static saturated far past the SLO, controlled at 1.5× static and
+        // missing the SLO too: fine at smoke scale.
+        let ok = [ramp(0.5, 50, 50), ramp(1.5, 400, 600)];
+        assert_broken(&ramp_violations(&ok, SLO, &log(10, 1), true), &[]);
+        let slower = [ramp(1.5, 400, 640)];
+        assert_broken(
+            &ramp_violations(&slower, SLO, &log(10, 1), true),
+            &["ramp 1.5x: controlled p99 640.000µs exceeds 1.5x static p99 400.000µs"],
+        );
+        assert_broken(
+            &ramp_violations(&ok, SLO, &log(10, 0), true),
+            &["controller never tightened"],
+        );
+    }
+
+    #[test]
+    fn full_run_holds_the_slo_verdict_on_every_high_ramp_segment() {
+        let held = [ramp(1.0, 90, 200), ramp(1.5, 400, 100), ramp(2.5, 900, 80)];
+        assert_broken(&ramp_violations(&held, SLO, &log(10, 0), false), &[]);
+        assert_broken(
+            &ramp_violations(&[ramp(2.0, 400, 101)], SLO, &log(10, 3), false),
+            &["ramp 2.0x: controlled run misses the p99 SLO"],
+        );
+        assert_broken(
+            &ramp_violations(&[ramp(1.5, 100, 60)], SLO, &log(10, 3), false),
+            &["ramp 1.5x: static run meets the p99 SLO"],
+        );
+        assert_broken(
+            &ramp_violations(&[ramp(1.5, 150, 160)], SLO, &log(10, 3), false),
+            &["exceeds static p99", "controlled run misses the p99 SLO"],
+        );
+    }
+
+    #[test]
+    fn only_steady_ramp_segments_at_verdict_load_carry_the_verdict() {
+        // A `bursty` segment that would break every headline rule, next to
+        // a ramp that never reaches the comparison load.
+        let segments = [
+            ramp(1.4, 50, 900),
+            Segment {
+                name: "bursty",
+                ..ramp(2.0, 50, 900)
+            },
+        ];
+        for smoke in [false, true] {
+            assert_broken(
+                &ramp_violations(&segments, SLO, &log(10, 1), smoke),
+                &["no ramp segment reaches 1.5x load"],
+            );
+        }
+    }
+
+    #[test]
+    fn every_segment_must_have_answered_on_both_sides_and_the_controller_ticked() {
+        let mut starved = ramp(0.5, 50, 50);
+        starved.controlled = SegmentReport {
+            answered: 0,
+            throughput_qps: 0.0,
+            latency: LatencySummary::default(),
+            ..side(50)
+        };
+        starved.fixed = SegmentReport {
+            rejected: 101,
+            deadline_misses: 101,
+            ..side(50)
+        };
+        assert_broken(
+            &ramp_violations(&[starved, ramp(1.5, 400, 90)], SLO, &log(0, 0), false),
+            &[
+                "ramp 0.5x: static run rejected > requests",
+                "ramp 0.5x: static run deadline_misses > accepted",
+                "ramp 0.5x: controlled run answered nothing",
+                "ramp 0.5x: controlled run throughput < 0.1 q/s",
+                "ramp 0.5x: controlled run no steady-state p99 sample",
+                "controller never ticked",
+            ],
+        );
+    }
+
+    #[test]
+    fn a_calibration_must_be_positive() {
+        let (ns, us) = (Duration::from_nanos(1), Duration::from_micros(1));
+        assert_broken(&calibration_violations(0.1, ns, ns, us), &[]);
+        assert_broken(
+            &calibration_violations(0.09, Duration::ZERO, Duration::ZERO, us - ns),
+            &[
+                "mean service time is zero",
+                "p99 service time is zero",
+                "capacity < 0.1 q/s",
+                "static deadline < 1 µs",
+            ],
+        );
+    }
 }

@@ -1,4 +1,5 @@
-//! Shared plumbing for the figure/table binaries.
+//! Shared plumbing for the figure/table binaries (and the exit contract
+//! of the two verdict bins, [`verdict_exit_code`]).
 //!
 //! The paper's Figures 4, 5 and 6 are three views (error/time,
 //! precision/time, error/memory) of the *same* experiment: every method ×
@@ -15,12 +16,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
-
 use simrank_eval::methods::{method_grid, MethodFamily, MethodSetting};
 use simrank_eval::runner::{run_dataset, ExperimentConfig, MethodResult};
 use simrank_eval::{datasets, report};
 use std::path::PathBuf;
+use std::process::ExitCode;
+
+/// How the two verdict bins (`scenario_serve`, `elastic_serve`) end: one
+/// `VERDICT FAILED: <rule>` line per violated rule — the last thing on
+/// stdout, so a CI log ends on the reason — and exit code 1, or exit code
+/// 0 when no rule is violated.
+pub fn verdict_exit_code(violations: &[String]) -> ExitCode {
+    for rule in violations {
+        println!("VERDICT FAILED: {rule}");
+    }
+    if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
 
 /// Results directory (`target/results`).
 pub fn results_dir() -> PathBuf {

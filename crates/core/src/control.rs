@@ -46,7 +46,7 @@
 //!
 //! Every actuation is appended to a [`ControlLog`] with the observation
 //! that triggered it, so a run's control decisions can be replayed and
-//! audited offline (`BENCH_elastic_serve.json` embeds the summary).
+//! audited offline (`elastic_serve` prints and judges the summary).
 
 use crate::answer_cache::AnswerCache;
 use crate::frontend::FrontendObserver;

@@ -76,18 +76,6 @@ pub enum KeyDist {
     Scan,
 }
 
-impl KeyDist {
-    /// Short stable label used in reports and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KeyDist::Uniform => "uniform",
-            KeyDist::Zipf { .. } => "zipf",
-            KeyDist::HotSet { .. } => "hot_set",
-            KeyDist::Scan => "scan",
-        }
-    }
-}
-
 /// How a scenario's requests arrive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalShape {
@@ -111,23 +99,14 @@ pub enum ArrivalShape {
     },
 }
 
-impl ArrivalShape {
-    /// Short stable label used in reports and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArrivalShape::OpenLoop { .. } => "open_loop",
-            ArrivalShape::ClosedLoop { .. } => "closed_loop",
-        }
-    }
-}
-
 /// Per-scenario service-level objective, evaluated on the report.
 ///
 /// Targets are part of the scenario *description*: they state what
 /// "healthy" means for that traffic shape (a flood is healthy when it
 /// sheds load cheaply; a read-heavy workload is healthy only when almost
-/// nothing is shed). The bench emitter records both the targets and the
-/// verdict so regressions in CI are interpretable.
+/// nothing is shed). `scenario_serve` prints whether each run met them
+/// (`slo_met`); what fails a run is the looser per-name ceiling of
+/// [`violations`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloTarget {
     /// Highest acceptable fraction of submissions rejected at admission.
@@ -139,7 +118,7 @@ pub struct SloTarget {
 /// A named, declarative workload scenario. Build them via [`catalog`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Stable snake_case name (JSON key, CI range lookup).
+    /// Stable snake_case name ([`violations`] keys its ceilings on it).
     pub name: &'static str,
     /// One-line description of what the scenario models.
     pub about: &'static str,
@@ -158,8 +137,8 @@ pub struct Scenario {
 }
 
 /// The named-scenario catalog: the six workload shapes the serving stack
-/// is regression-gated on. Names are stable — CI range tables and the
-/// committed `BENCH_scenarios.json` key on them.
+/// is regression-gated on. Names are stable — the outcome ceilings of
+/// [`violations`] and the catalog unit test key on them.
 pub fn catalog() -> Vec<Scenario> {
     vec![
         Scenario {
@@ -298,6 +277,24 @@ pub struct Calibration {
     pub requests: usize,
 }
 
+impl Calibration {
+    /// The verdict rules a calibration breaks (empty = usable): a positive
+    /// mean service time and a capacity of at least 0.1 q/s.
+    pub fn violations(&self) -> Vec<String> {
+        let mut broken = Vec::new();
+        if self.mean_service.is_zero() {
+            broken.push("calibration: mean service time is zero".to_owned());
+        }
+        if self.capacity_qps < 0.1 {
+            broken.push(format!(
+                "calibration: capacity {:.3} q/s < 0.1",
+                self.capacity_qps
+            ));
+        }
+        broken
+    }
+}
+
 /// Calibrates service capacity: a closed-loop run of uniform-key queries
 /// through a fresh [`Frontend`] on a quiescent store ([`Frontend::run_closed_loop`]
 /// keeps the pipeline full, so the achieved rate *is* the capacity).
@@ -389,28 +386,15 @@ pub struct ScenarioReport {
     /// Median end-to-end latency (queue wait + service); `None` when
     /// nothing was answered.
     pub p50_latency: Option<Duration>,
-    /// 95th-percentile end-to-end latency; `None` when nothing answered.
-    pub p95_latency: Option<Duration>,
     /// 99th-percentile end-to-end latency; `None` when nothing answered.
     pub p99_latency: Option<Duration>,
-    /// Mean time requests (answered or expired) sat in the queue.
-    pub avg_queue_wait: Duration,
-    /// High-water mark of the admission queue depth.
-    pub max_queue_depth: usize,
     /// Epochs published by the end of the run.
     pub final_epoch: u64,
-    /// Wall clock from first submission to last resolution.
-    pub wall: Duration,
     /// Answers served straight from the [`AnswerCache`] (0 when the run
     /// was uncached).
     pub cache_hits: u64,
     /// Answers that probed the cache and recomputed (0 when uncached).
     pub cache_misses: u64,
-    /// Cache entries evicted for capacity during the run.
-    pub cache_evictions: u64,
-    /// Cache entries invalidated by support-set intersection with a
-    /// publish's touched delta.
-    pub cache_invalidations: u64,
     /// Replayable records of every answered request, in submission order.
     pub answers: Vec<AnswerRecord>,
 }
@@ -450,6 +434,77 @@ impl ScenarioReport {
     }
 }
 
+/// Every rule of the scenario verdict that `report` breaks, one message
+/// each; empty means the verdict holds. `scenario_serve` exits on it.
+///
+/// *Shape rules*, every scenario: the run drove requests and updates,
+/// published an epoch, answered at a positive rate with a p99 sample, and
+/// its counters are consistent. *Outcome ceilings*, keyed on the scenario
+/// name: conservative per-shape ranges (a closed-loop scan can never
+/// reject; below-knee open loops must shed almost nothing; a flood must
+/// still answer something) — deliberately looser than the scenario's own
+/// [`SloTarget`], which is reported, not gated. *Smoke only*: the
+/// scenario deadlines are generous vs. worst-case queueing, so even at CI
+/// scale overload must surface as cheap rejection, never as a majority of
+/// accepted-then-expired requests — that would mean the deadline
+/// machinery is broken.
+pub fn violations(scenario: &Scenario, report: &ScenarioReport, smoke: bool) -> Vec<String> {
+    let (max_reject, max_miss): (f64, f64) = match scenario.name {
+        "read_heavy" => (0.25, 0.1),
+        "update_heavy" | "zipf_hot" => (0.25, 1.0),
+        "bursty" => (0.6, 1.0),
+        "batch_scan" => (0.0, 0.0),
+        "hot_flood" => (0.95, 1.0),
+        _ => (1.0, 1.0),
+    };
+    let max_miss = if smoke { max_miss.min(0.5) } else { max_miss };
+    let (reject, miss) = (report.reject_rate(), report.deadline_miss_rate());
+    let rules = [
+        (report.requests >= 1, "drove no requests".to_owned()),
+        (
+            !report.updates.is_empty(),
+            "committed no updates".to_owned(),
+        ),
+        (report.final_epoch >= 1, "published no epoch".to_owned()),
+        (report.answered >= 1, "answered nothing".to_owned()),
+        (
+            report.throughput_qps >= 0.1,
+            format!("throughput {:.3} q/s < 0.1", report.throughput_qps),
+        ),
+        (
+            report.p99_latency.is_some_and(|p99| !p99.is_zero()),
+            "no p99 latency sample".to_owned(),
+        ),
+        (
+            report.rejected <= report.requests as u64,
+            format!(
+                "rejected {} > requests {}",
+                report.rejected, report.requests
+            ),
+        ),
+        (
+            report.deadline_misses <= report.accepted,
+            format!(
+                "deadline_misses {} > accepted {}",
+                report.deadline_misses, report.accepted
+            ),
+        ),
+        (
+            reject <= max_reject,
+            format!("reject_rate {reject:.4} > allowed maximum {max_reject}"),
+        ),
+        (
+            miss <= max_miss,
+            format!("deadline_miss_rate {miss:.4} > allowed maximum {max_miss}"),
+        ),
+    ];
+    rules
+        .into_iter()
+        .filter(|(holds, _)| !holds)
+        .map(|(_, broken)| format!("{}: {broken}", scenario.name))
+        .collect()
+}
+
 /// The `size` highest in-degree nodes of `g`, ties broken toward smaller
 /// ids — the deterministic hot set [`KeyDist::HotSet`] floods.
 ///
@@ -484,6 +539,32 @@ fn key_sequence(scenario: &Scenario, base: &CsrGraph, count: usize, seed: u64) -
     }
 }
 
+/// The open-loop load generator: sleeps to each arrival offset (measured
+/// from `start`), `try_submit`s that arrival's key and never waits for the
+/// server. Returns every *accepted* ticket with its arrival index, in
+/// arrival order; a rejected submission is dropped (the front-end counts
+/// it).
+///
+/// # Panics
+/// Panics if `keys` is shorter than `arrivals`.
+pub fn submit_open_loop(
+    frontend: &Frontend,
+    start: Instant,
+    arrivals: &[Duration],
+    keys: &[NodeId],
+) -> Vec<(usize, Ticket)> {
+    let mut tickets = Vec::with_capacity(arrivals.len());
+    for (i, &offset) in arrivals.iter().enumerate() {
+        let target = start + offset;
+        let now = Instant::now();
+        if target > now {
+            std::thread::sleep(target - now);
+        }
+        tickets.extend(frontend.try_submit(keys[i]).ok().map(|ticket| (i, ticket)));
+    }
+    tickets
+}
+
 /// Runs one scenario through a fresh store + [`Frontend`], with a paced
 /// writer committing the scenario's update stream throughout.
 ///
@@ -511,8 +592,7 @@ pub fn run_scenario(
 /// `Some`, a fresh cache is attached to the front-end, the paced writer
 /// notifies it of every publish's touched-node delta
 /// ([`AnswerCache::on_publish`]), and the report's `cache_*` fields carry
-/// the run's hit/miss/eviction/invalidation counts. `None` reproduces
-/// [`run_scenario`] exactly.
+/// the run's hit/miss counts. `None` reproduces [`run_scenario`] exactly.
 ///
 /// # Panics
 /// Same contract as [`run_scenario`].
@@ -576,7 +656,6 @@ pub fn run_scenario_cached(
     // being served.
     let writer = {
         let store = store.clone();
-        let cache = cache.clone();
         let updates = workload.updates.clone();
         let batch = scale.updates_per_batch;
         let num_batches = updates.len().div_ceil(batch).max(1);
@@ -597,16 +676,10 @@ pub fn run_scenario_cached(
     let outcomes: Vec<QueryOutcome> = match scenario.arrivals {
         ArrivalShape::OpenLoop { .. } => {
             let schedule = arrivals.expect("open loop has a schedule");
-            let mut tickets: Vec<Ticket> = Vec::with_capacity(requests);
-            for (i, &offset) in schedule.iter().enumerate() {
-                let target = start + offset;
-                let now = Instant::now();
-                if target > now {
-                    std::thread::sleep(target - now);
-                }
-                tickets.extend(frontend.try_submit(keys[i]).ok());
-            }
-            tickets.into_iter().map(Ticket::wait).collect()
+            submit_open_loop(&frontend, start, &schedule, &keys)
+                .into_iter()
+                .map(|(_, ticket)| ticket.wait())
+                .collect()
         }
         ArrivalShape::ClosedLoop { clients } => frontend
             .run_closed_loop(&keys, clients, Duration::from_secs(60))
@@ -635,33 +708,24 @@ pub fn run_scenario_cached(
     );
 
     let mut latencies = Vec::with_capacity(outcomes.len());
-    let mut queue_waits = Vec::with_capacity(outcomes.len());
     let mut answers = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
         match outcome {
             QueryOutcome::Answered(r) => {
-                let latency = r.queue_wait + r.service;
-                latencies.push(latency);
-                queue_waits.push(r.queue_wait);
+                latencies.push(r.queue_wait + r.service);
                 answers.push(AnswerRecord {
                     node: r.node,
                     epoch: r.epoch,
                     top: r.top,
                 });
             }
-            QueryOutcome::DeadlineMissed { queue_wait, .. } => queue_waits.push(queue_wait),
             // Scenarios never cancel their own tickets; an external
             // canceller (a controller test harness) is data, not an error.
-            QueryOutcome::Cancelled { .. } => {}
+            QueryOutcome::DeadlineMissed { .. } | QueryOutcome::Cancelled { .. } => {}
             QueryOutcome::Failed { node } => panic!("worker failed serving node {node}"),
         }
     }
-    let avg_queue_wait = if queue_waits.is_empty() {
-        Duration::ZERO
-    } else {
-        queue_waits.iter().sum::<Duration>() / queue_waits.len() as u32
-    };
-    let latency_summary = LatencySummary::from_samples(latencies.iter().copied());
+    let latency_summary = LatencySummary::from_samples(latencies);
 
     ScenarioReport {
         name: scenario.name,
@@ -679,16 +743,10 @@ pub fn run_scenario_cached(
             stats.answered as f64 / wall.as_secs_f64()
         },
         p50_latency: latency_summary.p50(),
-        p95_latency: latency_summary.p95(),
         p99_latency: latency_summary.p99(),
-        avg_queue_wait,
-        max_queue_depth: stats.max_queue_depth,
         final_epoch,
-        wall,
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
-        cache_evictions: cache.as_ref().map_or(0, |c| c.stats().evictions),
-        cache_invalidations: cache.as_ref().map_or(0, |c| c.stats().invalidations),
         answers,
     }
 }
@@ -734,22 +792,30 @@ mod tests {
         deduped.sort_unstable();
         deduped.dedup();
         assert_eq!(deduped.len(), names.len(), "duplicate scenario names");
-        // Shape sanity: the flood is offered past capacity, the burst knob
-        // is meaningfully high in `bursty`, and `batch_scan` is the one
-        // closed-loop entry.
+        // Shape sanity, so no scenario can be quietly de-fanged: the flood
+        // is offered well past capacity, the below-knee shapes stay below
+        // the knee, the burst knob is meaningfully high in `bursty`, and
+        // `batch_scan` is the one closed-loop entry.
         for s in &scenarios {
+            for target in [s.slo.max_reject_rate, s.slo.max_deadline_miss_rate] {
+                assert!((0.0..=1.0).contains(&target), "{}: SLO is a rate", s.name);
+            }
+            let (load_factor, burstiness) = match s.arrivals {
+                ArrivalShape::OpenLoop {
+                    load_factor,
+                    burstiness,
+                } => (load_factor, burstiness),
+                // NaN is outside every range below: a scenario pinned as
+                // open loop fails if it turns closed loop.
+                ArrivalShape::ClosedLoop { .. } => (f64::NAN, f64::NAN),
+            };
             match s.name {
                 "hot_flood" => {
-                    let ArrivalShape::OpenLoop { load_factor, .. } = s.arrivals else {
-                        panic!("hot_flood must be open loop");
-                    };
-                    assert!(load_factor > 1.0, "a flood must exceed capacity");
+                    assert!(load_factor >= 1.2, "a flood must exceed capacity");
                     assert!(matches!(s.keys, KeyDist::HotSet { size } if size >= 1));
                 }
                 "bursty" => {
-                    let ArrivalShape::OpenLoop { burstiness, .. } = s.arrivals else {
-                        panic!("bursty must be open loop");
-                    };
+                    assert!((0.5..=1.0).contains(&load_factor));
                     assert!(burstiness >= 0.5, "bursty needs a high burst knob");
                 }
                 "batch_scan" => {
@@ -759,13 +825,140 @@ mod tests {
                     assert_eq!(s.keys, KeyDist::Scan);
                 }
                 "zipf_hot" => {
+                    assert!((0.3..=0.99).contains(&load_factor));
                     assert!(matches!(s.keys, KeyDist::Zipf { exponent } if exponent >= 1.0));
                 }
-                "update_heavy" => assert!(s.updates_per_query >= 1.0),
-                "read_heavy" => assert!(s.updates_per_query <= 0.1),
+                "update_heavy" => {
+                    assert!((0.2..=0.99).contains(&load_factor));
+                    assert!(s.updates_per_query >= 1.0);
+                }
+                "read_heavy" => {
+                    assert!((0.3..=0.99).contains(&load_factor));
+                    assert!(s.updates_per_query <= 0.1);
+                }
                 _ => {}
             }
         }
+    }
+
+    /// A report no rule objects to: everything offered was answered.
+    fn clean_report(scenario: &Scenario) -> ScenarioReport {
+        ScenarioReport {
+            name: scenario.name,
+            requests: 100,
+            offered_qps: 0.0,
+            updates: vec![GraphUpdate::Insert(0, 1)],
+            updates_per_batch: 1,
+            accepted: 100,
+            rejected: 0,
+            answered: 100,
+            deadline_misses: 0,
+            throughput_qps: 50.0,
+            p50_latency: Some(Duration::from_millis(1)),
+            p99_latency: Some(Duration::from_millis(2)),
+            final_epoch: 1,
+            cache_hits: 0,
+            cache_misses: 0,
+            answers: Vec::new(),
+        }
+    }
+
+    /// `clean_report` with `rejected` of its 100 requests shed at admission
+    /// and `expired` of the accepted ones missing their deadline.
+    fn shedding(scenario: &Scenario, rejected: u64, expired: u64) -> ScenarioReport {
+        ScenarioReport {
+            accepted: 100 - rejected,
+            rejected,
+            answered: 100 - rejected - expired,
+            deadline_misses: expired,
+            ..clean_report(scenario)
+        }
+    }
+
+    #[test]
+    fn violations_pin_every_outcome_ceiling_on_both_sides() {
+        let scenarios = catalog();
+        let named = |name: &str| scenarios.iter().find(|s| s.name == name).unwrap();
+        for s in &scenarios {
+            for smoke in [false, true] {
+                let broken = violations(s, &clean_report(s), smoke);
+                assert!(broken.is_empty(), "{broken:?}");
+            }
+        }
+        // (scenario, rate, counts just inside the ceiling, counts just past).
+        for (name, rate, inside, past) in [
+            ("read_heavy", "reject_rate", (25, 0), (26, 0)),
+            ("read_heavy", "deadline_miss_rate", (0, 10), (0, 11)),
+            ("update_heavy", "reject_rate", (25, 0), (26, 0)),
+            ("zipf_hot", "reject_rate", (25, 0), (26, 0)),
+            ("bursty", "reject_rate", (60, 0), (61, 0)),
+            ("batch_scan", "reject_rate", (0, 0), (1, 0)),
+            ("batch_scan", "deadline_miss_rate", (0, 0), (0, 1)),
+            ("hot_flood", "reject_rate", (95, 0), (96, 0)),
+        ] {
+            let s = named(name);
+            let broken = violations(s, &shedding(s, inside.0, inside.1), false);
+            assert!(broken.is_empty(), "{broken:?}");
+            let broken = violations(s, &shedding(s, past.0, past.1), false);
+            assert_eq!(broken.len(), 1, "{broken:?}");
+            assert!(
+                broken[0].starts_with(name) && broken[0].contains(rate),
+                "{broken:?}"
+            );
+        }
+        // A majority of accepted requests expiring is a smoke-only rule.
+        let s = named("update_heavy");
+        assert!(violations(s, &shedding(s, 0, 60), false).is_empty());
+        assert!(violations(s, &shedding(s, 0, 50), true).is_empty());
+        let broken = violations(s, &shedding(s, 0, 60), true);
+        assert_eq!(broken.len(), 1, "{broken:?}");
+        assert!(broken[0].contains("deadline_miss_rate 0.6000 > allowed maximum 0.5"));
+    }
+
+    #[test]
+    fn violations_flag_every_shape_rule_whatever_the_scenario() {
+        type Mutation = fn(&mut ScenarioReport);
+        let rules: [(Mutation, &str); 8] = [
+            (|r| r.requests = 0, "drove no requests"),
+            (|r| r.updates.clear(), "committed no updates"),
+            (|r| r.final_epoch = 0, "published no epoch"),
+            (|r| r.answered = 0, "answered nothing"),
+            (|r| r.throughput_qps = 0.09, "throughput 0.090 q/s < 0.1"),
+            (|r| r.p99_latency = None, "no p99 latency sample"),
+            (|r| r.rejected = 101, "rejected 101 > requests 100"),
+            (
+                |r| r.deadline_misses = 101,
+                "deadline_misses 101 > accepted 100",
+            ),
+        ];
+        for s in catalog() {
+            for (mutate, rule) in rules {
+                let mut report = clean_report(&s);
+                mutate(&mut report);
+                let broken = violations(&s, &report, false);
+                assert!(
+                    broken.iter().any(|v| *v == format!("{}: {rule}", s.name)),
+                    "{rule}: {broken:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_calibration_must_be_positive() {
+        let measured = Calibration {
+            capacity_qps: 0.1,
+            mean_service: Duration::from_nanos(1),
+            requests: 1,
+        };
+        assert!(measured.violations().is_empty());
+        let broken = Calibration {
+            capacity_qps: 0.09,
+            mean_service: Duration::ZERO,
+            ..measured
+        }
+        .violations();
+        assert_eq!(broken.len(), 2, "{broken:?}");
     }
 
     #[test]
