@@ -15,7 +15,7 @@
 //!
 //! Every method implements [`SimRankMethod`], the uniform interface the
 //! evaluation harness drives. Fidelity notes and deliberate simplifications
-//! are documented per module and in `DESIGN.md` §2.
+//! are documented per module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

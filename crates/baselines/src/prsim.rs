@@ -8,7 +8,7 @@
 //! resolve each visit either from the hub index or by a bounded online
 //! reverse push, weighting by the last-meeting correction `η(w)`.
 //!
-//! Fidelity notes (DESIGN.md §2): hubs are the top `j₀ = √n` nodes by
+//! Fidelity notes: hubs are the top `j₀ = √n` nodes by
 //! in-degree (a stand-in for the original's PageRank ordering — identical on
 //! the power-law graphs both papers target); `η` is estimated by paired-walk
 //! sampling at preprocessing time, as in our SLING.

@@ -6,16 +6,16 @@
 //! twice over identical arrival schedules and key sequences:
 //!
 //! * **static** — the construction-time configuration never changes:
-//!   generous deadline, no admission quota, all workers. Above the knee
+//!   generous deadline, no admission quota. Above the knee
 //!   the bounded queue pins full, every answered request pays the whole
 //!   queue, and p99 collapses to `queue_capacity × mean_service /
 //!   workers` — far past any interactive SLO.
 //! * **controlled** — a [`Controller`] thread samples the front-end's
 //!   per-interval sojourn/latency histograms every tick and actuates the
 //!   live [`simpush::TuningHandle`]: CoDel-style deadline backoff, a queue-depth
-//!   driven admission quota, widened answer-cache staleness, and worker
-//!   park/unpark when idle. Overload is shed at admission and at dequeue,
-//!   so the requests that *are* answered keep their latency budget.
+//!   driven admission quota and widened answer-cache staleness. Overload
+//!   is shed at admission and at dequeue, so the requests that *are*
+//!   answered keep their latency budget.
 //!
 //! One row per segment puts both sides next to each other, and the typed
 //! reports are judged in place (`ramp_violations`): on every `ramp`
@@ -488,7 +488,6 @@ fn main() -> ExitCode {
         max_deadline: static_deadline,
         quota_floor: 1,
         stale_bound: 8,
-        worker_floor: 1,
         overload_ticks: 2,
         calm_ticks: 5,
         cooldown_ticks: 2,
@@ -652,7 +651,6 @@ mod tests {
                 deadline: None,
                 admission_quota: None,
                 max_stale_epochs: 0,
-                worker_target: 1,
             },
             reason: ControlReason::Tighten,
         };

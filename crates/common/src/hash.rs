@@ -84,11 +84,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with Fx hashing.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Convenience constructor: an [`FxHashMap`] with `cap` reserved slots.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 /// Convenience constructor: an [`FxHashSet`] with `cap` reserved slots.
 pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
@@ -132,7 +127,7 @@ mod tests {
 
     #[test]
     fn map_and_set_aliases_work() {
-        let mut m: FxHashMap<u32, f64> = fx_map_with_capacity(16);
+        let mut m: FxHashMap<u32, f64> = FxHashMap::default();
         m.insert(7, 0.5);
         assert_eq!(m[&7], 0.5);
         let mut s: FxHashSet<u32> = fx_set_with_capacity(16);

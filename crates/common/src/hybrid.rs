@@ -34,7 +34,7 @@ use crate::NodeId;
 /// At 1/8 occupancy a hash map holding `(u32, f64)` entries already spends
 /// roughly as much memory as the dense `f64` array, and loses on access
 /// locality, so this is the break-even neighbourhood rather than a tuned
-/// constant. Benchmarks in `simrank-bench` (`hybrid_threshold`) sweep it.
+/// constant.
 pub const DENSE_DIVISOR: usize = 8;
 
 enum Backend {
@@ -70,16 +70,9 @@ pub struct HybridMap {
 impl HybridMap {
     /// Creates an empty map over node ids `0..universe`.
     pub fn new(universe: usize) -> Self {
-        Self::with_threshold(universe, universe / DENSE_DIVISOR)
-    }
-
-    /// Creates an empty map that migrates to dense storage once the
-    /// population exceeds `dense_at` (use `universe` to never migrate, `0` to
-    /// migrate immediately on first insert).
-    pub fn with_threshold(universe: usize, dense_at: usize) -> Self {
         Self {
             universe,
-            dense_at,
+            dense_at: universe / DENSE_DIVISOR,
             touched: Vec::new(),
             backend: Backend::Sparse {
                 // simcheck: allow(nondet-iteration) — empty constructor
@@ -87,6 +80,17 @@ impl HybridMap {
                 slots: FxHashMap::default(),
                 values: Vec::new(),
             },
+        }
+    }
+
+    /// Creates an empty map that migrates to dense storage once the
+    /// population exceeds `dense_at` (use `universe` to never migrate, `0` to
+    /// migrate immediately on first insert).
+    #[cfg(test)]
+    pub fn with_threshold(universe: usize, dense_at: usize) -> Self {
+        Self {
+            dense_at,
+            ..Self::new(universe)
         }
     }
 
@@ -198,12 +202,6 @@ impl HybridMap {
         }
     }
 
-    /// Returns the value for `key`, or `0.0` if absent.
-    #[inline]
-    pub fn get_or_zero(&self, key: NodeId) -> f64 {
-        self.get(key).unwrap_or(0.0)
-    }
-
     /// True when `key` has a live entry.
     #[inline]
     pub fn contains(&self, key: NodeId) -> bool {
@@ -226,15 +224,6 @@ impl HybridMap {
                 values,
             },
         }
-    }
-
-    /// Drains the map into a vector of `(key, value)` pairs sorted by key,
-    /// leaving the map empty but with its dense capacity retained.
-    pub fn drain_sorted(&mut self) -> Vec<(NodeId, f64)> {
-        let mut out: Vec<(NodeId, f64)> = self.iter().collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        self.clear();
-        out
     }
 
     /// Removes all entries, keeping allocations (hash capacity, dense
@@ -260,9 +249,8 @@ impl HybridMap {
     /// values and iteration order are backend-independent, so reusing a
     /// dense map for a query that would have stayed sparse is safe.
     ///
-    /// When the universe changes, the migration threshold returns to the
-    /// default `universe / DENSE_DIVISOR` policy, overriding any custom
-    /// [`with_threshold`](Self::with_threshold) value.
+    /// When the universe changes, the migration threshold follows it
+    /// (`universe / DENSE_DIVISOR`).
     pub fn reset(&mut self, universe: usize) {
         self.clear();
         if universe != self.universe {
@@ -361,7 +349,6 @@ mod tests {
         m.add(5, 0.25);
         assert_eq!(m.get(5), Some(0.5));
         assert_eq!(m.get(6), None);
-        assert_eq!(m.get_or_zero(6), 0.0);
         assert_eq!(m.len(), 1);
     }
 
@@ -495,16 +482,6 @@ mod tests {
         m.add(9, 1.0);
         m.reset(4);
         m.add(9, 1.0);
-    }
-
-    #[test]
-    fn drain_sorted_returns_sorted_pairs_and_empties() {
-        let mut m = HybridMap::new(100);
-        m.add(9, 0.9);
-        m.add(1, 0.1);
-        m.add(5, 0.5);
-        assert_eq!(m.drain_sorted(), vec![(1, 0.1), (5, 0.5), (9, 0.9)]);
-        assert!(m.is_empty());
     }
 
     #[test]

@@ -29,12 +29,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
         .map(|kb| kb * 1024)
 }
 
-/// Current resident set size of the current process in bytes (`VmRSS`), if
-/// the platform exposes it.
-pub fn current_rss_bytes() -> Option<u64> {
-    read_status_kb("VmRSS:").map(|kb| kb * 1024)
-}
-
 fn read_status_kb(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
@@ -75,9 +69,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn rss_probes_report_on_linux() {
         let peak = peak_rss_bytes().expect("VmHWM or VmRSS available on Linux");
-        let cur = current_rss_bytes().expect("VmRSS available on Linux");
         assert!(peak > 0);
-        assert!(cur > 0);
     }
 
     #[test]

@@ -21,11 +21,6 @@ impl Timer {
         self.start.elapsed()
     }
 
-    /// Elapsed milliseconds as `f64` (sub-millisecond resolution retained).
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed().as_secs_f64() * 1e3
-    }
-
     /// Restarts the timer and returns the elapsed time of the lap that just
     /// ended.
     pub fn lap(&mut self) -> Duration {
@@ -39,19 +34,6 @@ impl Timer {
 impl Default for Timer {
     fn default() -> Self {
         Self::start()
-    }
-}
-
-/// Formats a duration compactly for report tables (`1.234s`, `56.7ms`,
-/// `890µs`).
-pub fn format_duration(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.3}s")
-    } else if s >= 1e-3 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{:.0}µs", s * 1e6)
     }
 }
 
@@ -75,12 +57,5 @@ mod tests {
         assert!(lap >= Duration::from_millis(2));
         // The next elapsed reading starts from ~zero again.
         assert!(t.elapsed() < lap + Duration::from_millis(50));
-    }
-
-    #[test]
-    fn formatting_picks_sensible_units() {
-        assert_eq!(format_duration(Duration::from_secs(2)), "2.000s");
-        assert_eq!(format_duration(Duration::from_millis(56)), "56.00ms");
-        assert_eq!(format_duration(Duration::from_micros(890)), "890µs");
     }
 }

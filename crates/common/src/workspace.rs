@@ -90,12 +90,6 @@ impl<T: Copy + Default> EpochVec<T> {
         }
     }
 
-    /// True when slot `i` has been written since the last [`clear`](Self::clear).
-    #[inline]
-    pub fn is_fresh(&self, i: usize) -> bool {
-        self.stamps[i] == self.epoch
-    }
-
     /// Reads slot `i` (`T::default()` when it was not written this
     /// generation).
     ///
@@ -159,11 +153,9 @@ mod tests {
         assert_eq!(v.get(0), 1.5);
         assert_eq!(v.get(2), 0.5);
         assert_eq!(v.get(1), 0.0, "untouched slots read default");
-        assert!(v.is_fresh(0) && !v.is_fresh(1));
         v.clear();
         for i in 0..4 {
             assert_eq!(v.get(i), 0.0, "slot {i} must be logically cleared");
-            assert!(!v.is_fresh(i));
         }
         // Reuse after clear starts from default again.
         v.add(2, 1.0);

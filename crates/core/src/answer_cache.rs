@@ -451,18 +451,12 @@ impl Config {
             crate::config::LevelDetection::MonteCarlo => 0u64,
             crate::config::LevelDetection::Exact => 1u64,
         };
-        let budget = match self.mc_budget {
-            crate::config::McBudget::Chernoff => 0u64,
-            crate::config::McBudget::Hoeffding => 1u64,
-        };
         let mut state = 0xA115_3EED_CAC4_E5EEu64;
         for field in [
             self.c.to_bits(),
             self.epsilon.to_bits(),
             self.delta.to_bits(),
             detection,
-            budget,
-            self.walk_budget_factor.to_bits(),
             self.seed,
         ] {
             state ^= field;
@@ -749,14 +743,6 @@ mod tests {
                 ..base.clone()
             },
             Config::exact(0.02),
-            Config {
-                mc_budget: crate::McBudget::Hoeffding,
-                ..base.clone()
-            },
-            Config {
-                walk_budget_factor: 0.5,
-                ..base.clone()
-            },
             Config {
                 seed: 1,
                 ..base.clone()

@@ -19,24 +19,6 @@ pub enum LevelDetection {
     Exact,
 }
 
-/// Monte-Carlo walk budget for level detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum McBudget {
-    /// `R = 8·ln(1/((1−√c)·ε_h·δ))/ε_h` — sufficient for the one-sided
-    /// detection event the algorithm actually needs (multiplicative Chernoff
-    /// lower tail: a node with `h ≥ ε_h` is counted `≥ ε_h·R/2` times except
-    /// with probability `≤ exp(−R·ε_h/8) ≤ (1−√c)·ε_h·δ`; union-bounding
-    /// over the `≤ √c/((1−√c)·ε_h)` attention nodes gives total failure
-    /// `≤ δ`). This is the default: it reproduces the realtime latencies the
-    /// paper reports. The [`source_push`](crate::source_push) module docs
-    /// carry the argument over to residual walks.
-    Chernoff,
-    /// `R = 2·ln(1/((1−√c)·ε_h·δ))/ε_h²` — the paper's stated formula
-    /// (Hoeffding-based, additive `ε_h/2` accuracy on every hitting
-    /// probability). Orders of magnitude more walks at small `ε`.
-    Hoeffding,
-}
-
 /// Full SimPush configuration.
 ///
 /// Construct with [`Config::new`] and override fields as needed; every field
@@ -52,12 +34,6 @@ pub struct Config {
     pub delta: f64,
     /// Level-detection strategy.
     pub level_detection: LevelDetection,
-    /// Walk budget for Monte-Carlo detection.
-    pub mc_budget: McBudget,
-    /// Multiplier on the Monte-Carlo walk budget (1.0 = theory), and with it
-    /// on the edge budget of the exact phase. Lets the experiment harness
-    /// trade detection confidence for speed explicitly rather than silently.
-    pub walk_budget_factor: f64,
     /// Master seed for the sampling stage.
     pub seed: u64,
 }
@@ -72,8 +48,6 @@ impl Config {
             epsilon,
             delta: 1e-4,
             level_detection: LevelDetection::MonteCarlo,
-            mc_budget: McBudget::Chernoff,
-            walk_budget_factor: 1.0,
             seed: 0x51AB_5EED,
         };
         cfg.validate();
@@ -105,10 +79,6 @@ impl Config {
             self.delta > 0.0 && self.delta < 1.0,
             "failure probability must lie in (0,1), got {}",
             self.delta
-        );
-        assert!(
-            self.walk_budget_factor > 0.0,
-            "walk budget factor must be positive"
         );
     }
 
@@ -144,25 +114,32 @@ impl Config {
         (sc / ((1.0 - sc) * self.eps_h())).floor() as usize
     }
 
-    /// The Monte-Carlo level-detection walk budget `R`: the number of
-    /// √c-walks the paper's detector draws from the query node. Source-Push
-    /// scans up to `R / 8` in-edges exactly first and draws only
+    /// The Monte-Carlo level-detection walk budget
+    /// `R = 8·ln(1/((1−√c)·ε_h·δ))/ε_h`: the number of √c-walks a detector
+    /// drawing all of them from the query node needs. Source-Push scans up
+    /// to `R / 8` in-edges exactly first and draws only
     /// `≈ R × (mass on its last exact frontier)` residual walks if that was
     /// not enough (see the [`source_push`](crate::source_push) module docs).
+    ///
+    /// `R` is sufficient for the one-sided detection event the algorithm
+    /// actually needs (multiplicative Chernoff lower tail: a node with
+    /// `h ≥ ε_h` is counted `≥ ε_h·R/2` times except with probability
+    /// `≤ exp(−R·ε_h/8) ≤ (1−√c)·ε_h·δ`; union-bounding over the
+    /// `≤ √c/((1−√c)·ε_h)` attention nodes gives total failure `≤ δ`), and
+    /// it reproduces the realtime latencies the paper reports. For
+    /// reference, the paper states the Hoeffding count
+    /// `2·ln(1/((1−√c)·ε_h·δ))/ε_h²` (additive `ε_h/2` accuracy on every
+    /// hitting probability) — orders of magnitude more walks at small `ε`.
     pub fn num_detection_walks(&self) -> usize {
         let sc = self.sqrt_c();
         let eps_h = self.eps_h();
         let log_term = (1.0 / ((1.0 - sc) * eps_h * self.delta)).ln();
-        let base = match self.mc_budget {
-            McBudget::Chernoff => 8.0 * log_term / eps_h,
-            McBudget::Hoeffding => 2.0 * log_term / (eps_h * eps_h),
-        };
-        ((base * self.walk_budget_factor).ceil() as usize).max(1)
+        ((8.0 * log_term / eps_h).ceil() as usize).max(1)
     }
 
     /// Visit-count threshold for declaring a level populated: a node with
-    /// `h ≥ ε_h` is expected to be visited `ε_h·R` times, and both budget
-    /// analyses use the halved threshold `ε_h·R/2`.
+    /// `h ≥ ε_h` is expected to be visited `ε_h·R` times, and the budget
+    /// analysis uses the halved threshold `ε_h·R/2`.
     pub fn detection_threshold(&self, num_walks: usize) -> u32 {
         ((self.eps_h() * num_walks as f64 / 2.0).ceil() as u32).max(1)
     }
@@ -184,29 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn chernoff_budget_is_much_smaller_than_hoeffding() {
-        let chernoff = Config::new(0.02);
-        let hoeffding = Config {
-            mc_budget: McBudget::Hoeffding,
-            ..Config::new(0.02)
-        };
-        let rc = chernoff.num_detection_walks();
-        let rh = hoeffding.num_detection_walks();
-        assert!(rc * 20 < rh, "chernoff {rc} vs hoeffding {rh}");
-        // Ballpark of the `McBudget::Chernoff` formula at ε = 0.02.
+    fn chernoff_budget_is_in_the_tens_of_thousands_at_the_default_epsilon() {
+        let rc = Config::new(0.02).num_detection_walks();
         assert!((60_000..90_000).contains(&rc), "chernoff walks {rc}");
-    }
-
-    #[test]
-    fn walk_budget_factor_scales_linearly() {
-        let base = Config::new(0.05);
-        let half = Config {
-            walk_budget_factor: 0.5,
-            ..base.clone()
-        };
-        let rb = base.num_detection_walks() as f64;
-        let rh = half.num_detection_walks() as f64;
-        assert!((rh / rb - 0.5).abs() < 0.01);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! controller.
 //!
 //! The [`Frontend`](crate::Frontend) used to freeze every serving knob at
-//! construction time — worker count, admission limit, deadline, the
-//! answer cache's staleness bound. This module makes those knobs **live**:
+//! construction time — admission limit, deadline, the answer cache's
+//! staleness bound. This module makes those knobs **live** (the worker
+//! pool stays fixed: an idle worker blocked in `recv` costs nothing):
 //!
 //! * [`ActiveTuning`] is the set of runtime knobs, published through a
-//!   [`TuningHandle`] as an atomically swappable `Arc`. Workers and the
-//!   submit paths read the *current* tuning per request (a version check
-//!   plus, on change, one mutex-guarded `Arc` clone), so a
+//!   [`TuningHandle`] as an atomically swappable `Arc`. Every submission
+//!   reads the *current* tuning once (one mutex-guarded `Arc` clone) and
+//!   the staleness bound is pushed into the cache at swap, so a
 //!   [`TuningHandle::swap`] takes effect on the very next request without
 //!   restarting the front-end.
 //! * [`Controller`] is the closed loop: a thread that samples the
@@ -29,14 +30,13 @@
 //!   `base / √(k+1)` for the `k`-th consecutive tightening, the admission
 //!   quota shrinks multiplicatively from the observed queue depth, the
 //!   cache staleness bound widens one epoch (serving slightly-old answers
-//!   beats serving none), and every worker is unparked.
+//!   beats serving none).
 //! * sojourn below half the target for
 //!   [`calm_ticks`](ControllerOptions::calm_ticks) consecutive ticks ⇒
 //!   **relax**: one backoff level is undone, the quota grows
 //!   multiplicatively (fully reopening once it reaches the queue
-//!   capacity), the staleness bound narrows back toward its configured
-//!   baseline, and an idle front-end parks down to
-//!   [`worker_floor`](ControllerOptions::worker_floor).
+//!   capacity), and the staleness bound narrows back toward its
+//!   configured baseline.
 //!
 //! Between those two bands nothing happens — that dead zone, the
 //! consecutive-tick streaks (a single noisy tick resets them), and a
@@ -51,7 +51,7 @@
 use crate::answer_cache::AnswerCache;
 use crate::frontend::FrontendObserver;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -73,81 +73,50 @@ pub struct ActiveTuning {
     /// Staleness bound pushed through to the attached
     /// [`AnswerCache`] on every swap.
     pub max_stale_epochs: u64,
-    /// Number of workers that should be serving; workers with index `≥`
-    /// this park until retuned. Clamped to `[1, workers]` at swap.
-    pub worker_target: usize,
 }
-
-/// Immutable bounds a [`TuningHandle`] clamps every swap against, fixed
-/// at [`Frontend::start`](crate::Frontend::start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuningLimits {
-    /// Size of the worker pool — the ceiling for
-    /// [`ActiveTuning::worker_target`].
-    pub max_workers: usize,
-    /// Admission-queue capacity — the ceiling for
-    /// [`ActiveTuning::admission_quota`].
-    pub queue_capacity: usize,
-}
-
-/// How long a parked worker sleeps between re-checks of the tuning and
-/// the shutdown flag. A backstop only: swaps and shutdown notify the
-/// condvar, so reaction is normally immediate.
-const PARK_RECHECK: Duration = Duration::from_millis(25);
 
 /// The atomically-swappable publication point for [`ActiveTuning`].
 ///
-/// One handle is shared by the front-end's submit paths, its workers, and
-/// the [`Controller`]. Readers pair [`version`](Self::version) (a cheap
-/// atomic load) with [`load`](Self::load) (mutex + `Arc` clone) to cache
-/// the current tuning and re-read it only when it actually changed —
-/// the same idiom the workers use for graph snapshots.
+/// One handle is shared by the front-end's submit path and the
+/// [`Controller`]; [`load`](Self::load) is a mutex-guarded `Arc` clone.
 #[derive(Debug)]
 pub struct TuningHandle {
     current: Mutex<Arc<ActiveTuning>>,
-    version: AtomicU64,
-    /// Park rendezvous: the bool is the shutdown flag; parked workers
-    /// wait on the condvar and re-check the tuning on every wake.
-    park: Mutex<bool>,
-    park_cv: Condvar,
     cache: Option<Arc<AnswerCache>>,
-    limits: TuningLimits,
+    /// Admission-queue capacity, fixed at
+    /// [`Frontend::start`](crate::Frontend::start): the ceiling every
+    /// swapped [`ActiveTuning::admission_quota`] is clamped against.
+    queue_capacity: usize,
 }
 
 impl TuningHandle {
-    /// Builds a handle whose first published tuning is `initial`
-    /// (clamped against `limits`); `cache` — when the front-end has one —
-    /// receives every future `max_stale_epochs` actuation.
+    /// Builds a handle whose first published tuning is `initial` (its
+    /// quota clamped against `queue_capacity`); `cache` — when the
+    /// front-end has one — receives every future `max_stale_epochs`
+    /// actuation.
     ///
     /// # Panics
-    /// Panics if `limits.max_workers` or `limits.queue_capacity` is 0.
+    /// Panics if `queue_capacity` is 0.
     pub fn new(
         initial: ActiveTuning,
-        limits: TuningLimits,
+        queue_capacity: usize,
         cache: Option<Arc<AnswerCache>>,
     ) -> Self {
-        assert!(limits.max_workers >= 1, "need at least one worker thread");
-        assert!(
-            limits.queue_capacity >= 1,
-            "admission queue capacity must be ≥ 1"
-        );
-        let initial = clamp_tuning(initial, limits);
+        assert!(queue_capacity >= 1, "admission queue capacity must be ≥ 1");
+        let initial = clamp_tuning(initial, queue_capacity);
         if let Some(cache) = cache.as_deref() {
             cache.set_max_stale_epochs(initial.max_stale_epochs);
         }
         Self {
             current: Mutex::new(Arc::new(initial)),
-            version: AtomicU64::new(0),
-            park: Mutex::new(false),
-            park_cv: Condvar::new(),
             cache,
-            limits,
+            queue_capacity,
         }
     }
 
-    /// The bounds swaps are clamped against.
-    pub fn limits(&self) -> TuningLimits {
-        self.limits
+    /// The admission-queue capacity swapped quotas are clamped against.
+    pub fn queue_capacity(&self) -> usize {
+        self.queue_capacity
     }
 
     /// The currently published tuning.
@@ -158,69 +127,24 @@ impl TuningHandle {
             .clone()
     }
 
-    /// Monotone change counter: bumped by every [`swap`](Self::swap).
-    /// Readers cache `(version, tuning)` and [`load`](Self::load) again
-    /// only when this moved.
-    pub fn version(&self) -> u64 {
-        // relaxed: a pure change hint — the tuning itself is published
-        // through the `current` mutex, so a lagging read only delays a
-        // reload by one request.
-        self.version.load(Ordering::Relaxed)
-    }
-
-    /// Publishes a new tuning (clamped against the limits), pushes the
-    /// staleness bound into the attached cache, wakes parked workers, and
-    /// returns what was actually applied.
+    /// Publishes a new tuning (quota clamped against the queue capacity),
+    /// pushes the staleness bound into the attached cache, and returns
+    /// what was actually applied.
     ///
     /// Takes effect on the next request each worker/submitter processes;
     /// requests already past their tuning read keep the old values.
     pub fn swap(&self, tuning: ActiveTuning) -> Arc<ActiveTuning> {
-        let applied = Arc::new(clamp_tuning(tuning, self.limits));
+        let applied = Arc::new(clamp_tuning(tuning, self.queue_capacity));
         if let Some(cache) = self.cache.as_deref() {
             cache.set_max_stale_epochs(applied.max_stale_epochs);
         }
         *self.current.lock().unwrap_or_else(|p| p.into_inner()) = applied.clone();
-        // relaxed: see `version()` — the mutex above is the publication.
-        self.version.fetch_add(1, Ordering::Relaxed);
-        // Touch the park mutex before notifying so a worker that just
-        // checked the old tuning and is about to wait cannot miss the
-        // wakeup (and the timeout in `park_worker` backstops the rest).
-        drop(self.park.lock().unwrap_or_else(|p| p.into_inner()));
-        self.park_cv.notify_all();
         applied
-    }
-
-    /// Blocks the calling worker while `worker_index ≥ worker_target`.
-    /// Returns `true` when the worker should resume serving, `false`
-    /// when the front-end shut down and it should exit.
-    pub(crate) fn park_worker(&self, worker_index: usize) -> bool {
-        let mut shut = self.park.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if *shut {
-                return false;
-            }
-            if worker_index < self.load().worker_target {
-                return true;
-            }
-            let (guard, _) = self
-                .park_cv
-                .wait_timeout(shut, PARK_RECHECK)
-                .unwrap_or_else(|p| p.into_inner());
-            shut = guard;
-        }
-    }
-
-    /// Sets the shutdown flag and releases every parked worker (they exit
-    /// without serving). Called by the front-end's drain path.
-    pub(crate) fn shutdown(&self) {
-        *self.park.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        self.park_cv.notify_all();
     }
 }
 
-fn clamp_tuning(mut t: ActiveTuning, limits: TuningLimits) -> ActiveTuning {
-    t.worker_target = t.worker_target.clamp(1, limits.max_workers);
-    t.admission_quota = t.admission_quota.map(|q| q.clamp(1, limits.queue_capacity));
+fn clamp_tuning(mut t: ActiveTuning, queue_capacity: usize) -> ActiveTuning {
+    t.admission_quota = t.admission_quota.map(|q| q.clamp(1, queue_capacity));
     t
 }
 
@@ -373,8 +297,6 @@ pub struct ControllerOptions {
     pub quota_floor: usize,
     /// Ceiling for cache-staleness widening under overload.
     pub stale_bound: u64,
-    /// How few workers an **idle** front-end may park down to.
-    pub worker_floor: usize,
     /// Consecutive overloaded ticks required before tightening.
     pub overload_ticks: u32,
     /// Consecutive calm ticks required before relaxing.
@@ -393,7 +315,6 @@ impl Default for ControllerOptions {
             max_deadline: Duration::from_secs(1),
             quota_floor: 1,
             stale_bound: 8,
-            worker_floor: 1,
             overload_ticks: 2,
             calm_ticks: 5,
             cooldown_ticks: 2,
@@ -479,7 +400,7 @@ impl ControlLog {
 #[derive(Debug, Clone)]
 pub struct ControlState {
     tuning: ActiveTuning,
-    limits: TuningLimits,
+    queue_capacity: usize,
     /// CoDel backoff level `k`: the deadline sits at `base / √(k+1)`.
     tighten_level: u32,
     overload_streak: u32,
@@ -491,8 +412,8 @@ pub struct ControlState {
 
 impl ControlState {
     /// Starts from the tuning currently published (pre-clamped by the
-    /// handle) under the front-end's limits.
-    pub fn new(initial: ActiveTuning, limits: TuningLimits, opts: &ControllerOptions) -> Self {
+    /// handle) under the front-end's admission-queue capacity.
+    pub fn new(initial: ActiveTuning, queue_capacity: usize, opts: &ControllerOptions) -> Self {
         let base_deadline = initial
             .deadline
             .unwrap_or(opts.max_deadline)
@@ -500,7 +421,7 @@ impl ControlState {
         Self {
             baseline_stale: initial.max_stale_epochs,
             tuning: initial,
-            limits,
+            queue_capacity,
             tighten_level: 0,
             overload_streak: 0,
             calm_streak: 0,
@@ -559,8 +480,7 @@ pub fn step(
         return None;
     }
 
-    let idle = obs.accepted == 0 && obs.answered == 0 && obs.queue_depth == 0;
-    let cap = state.limits.queue_capacity;
+    let cap = state.queue_capacity;
     if state.overload_streak >= opts.overload_ticks {
         state.overload_streak = 0;
         state.cooldown = opts.cooldown_ticks;
@@ -573,7 +493,6 @@ pub fn step(
             deadline: Some(codel_deadline(state, opts)),
             admission_quota: Some((pressure * 3 / 4).max(opts.quota_floor.max(1))),
             max_stale_epochs: (state.tuning.max_stale_epochs + 1).min(opts.stale_bound),
-            worker_target: state.limits.max_workers,
         };
         if next != state.tuning {
             state.tuning = next.clone();
@@ -612,11 +531,6 @@ pub fn step(
                 .max_stale_epochs
                 .saturating_sub(1)
                 .max(state.baseline_stale),
-            worker_target: if idle {
-                opts.worker_floor.max(1)
-            } else {
-                state.limits.max_workers
-            },
         };
         if next != state.tuning {
             state.tuning = next.clone();
@@ -653,7 +567,8 @@ impl Controller {
         let stop_flag = stop.clone();
         let handle = std::thread::spawn(move || {
             let mut log = ControlLog::default();
-            let mut state = ControlState::new((*tuning.load()).clone(), tuning.limits(), &opts);
+            let mut state =
+                ControlState::new((*tuning.load()).clone(), tuning.queue_capacity(), &opts);
             let mut prev = observer.stats();
             // relaxed: advisory stop flag — one extra tick after the
             // store is harmless.
@@ -733,12 +648,7 @@ mod tests {
         Duration::from_millis(v)
     }
 
-    fn limits() -> TuningLimits {
-        TuningLimits {
-            max_workers: 4,
-            queue_capacity: 64,
-        }
-    }
+    const CAPACITY: usize = 64;
 
     fn opts() -> ControllerOptions {
         ControllerOptions {
@@ -749,7 +659,6 @@ mod tests {
             max_deadline: ms(400),
             quota_floor: 2,
             stale_bound: 4,
-            worker_floor: 1,
             overload_ticks: 2,
             calm_ticks: 3,
             cooldown_ticks: 1,
@@ -761,7 +670,6 @@ mod tests {
             deadline: Some(ms(200)),
             admission_quota: None,
             max_stale_epochs: 0,
-            worker_target: 4,
         }
     }
 
@@ -804,7 +712,7 @@ mod tests {
     #[test]
     fn sustained_overload_tightens_on_the_exact_tick_and_backs_off_sqrt() {
         let o = opts();
-        let mut state = ControlState::new(initial(), limits(), &o);
+        let mut state = ControlState::new(initial(), CAPACITY, &o);
         // Tick 1: streak 1 — no actuation yet (deadband).
         assert_eq!(step(&mut state, &hot(60), &o), None);
         // Tick 2: streak reaches overload_ticks — first tighten.
@@ -816,7 +724,6 @@ mod tests {
         // Quota engages from the observed depth: 60 * 3/4 = 45.
         assert_eq!(t1.admission_quota, Some(45));
         assert_eq!(t1.max_stale_epochs, 1);
-        assert_eq!(t1.worker_target, 4);
         // Tick 3: cooldown absorbs the actuation (the streak still
         // counts underneath it).
         assert_eq!(step(&mut state, &hot(60), &o), None);
@@ -831,7 +738,7 @@ mod tests {
     #[test]
     fn sustained_calm_relaxes_back_to_the_configured_tuning() {
         let o = opts();
-        let mut state = ControlState::new(initial(), limits(), &o);
+        let mut state = ControlState::new(initial(), CAPACITY, &o);
         // Drive into a tightened regime first.
         for _ in 0..2 {
             step(&mut state, &hot(60), &o);
@@ -856,39 +763,12 @@ mod tests {
     }
 
     #[test]
-    fn idle_calm_parks_down_to_the_worker_floor_and_load_unparks() {
-        let o = opts();
-        let mut state = ControlState::new(initial(), limits(), &o);
-        let mut last = None;
-        for _ in 0..10 {
-            if let Some((t, _)) = step(&mut state, &idle(), &o) {
-                last = Some(t);
-            }
-        }
-        assert_eq!(
-            last.expect("idle stream must park").worker_target,
-            1,
-            "idle front-end parks to the floor"
-        );
-        // Overload unparks everyone.
-        let mut woke = None;
-        for _ in 0..5 {
-            if let Some((t, r)) = step(&mut state, &hot(60), &o) {
-                assert_eq!(r, ControlReason::Tighten);
-                woke = Some(t);
-                break;
-            }
-        }
-        assert_eq!(woke.expect("load must tighten").worker_target, 4);
-    }
-
-    #[test]
     fn alternating_load_never_oscillates() {
         // The hysteresis pin: strictly alternating hot/cool ticks keep
         // resetting both streaks (each needs ≥ 2 consecutive), so the
         // controller must not actuate even once.
         let o = opts();
-        let mut state = ControlState::new(initial(), limits(), &o);
+        let mut state = ControlState::new(initial(), CAPACITY, &o);
         for i in 0..200 {
             let obs = if i % 2 == 0 { hot(60) } else { cool() };
             assert_eq!(step(&mut state, &obs, &o), None, "oscillated at tick {i}");
@@ -899,7 +779,7 @@ mod tests {
     #[test]
     fn dead_zone_between_bands_resets_both_streaks() {
         let o = opts();
-        let mut state = ControlState::new(initial(), limits(), &o);
+        let mut state = ControlState::new(initial(), CAPACITY, &o);
         // Sojourn between target/2 and target: neither hot nor calm.
         let neutral = TickObservation {
             sojourn_p99: Some(ms(7)),
@@ -924,7 +804,7 @@ mod tests {
             })
             .collect();
         let run = |stream: &[TickObservation]| {
-            let mut state = ControlState::new(initial(), limits(), &o);
+            let mut state = ControlState::new(initial(), CAPACITY, &o);
             stream
                 .iter()
                 .filter_map(|obs| step(&mut state, obs, &o))
@@ -939,7 +819,7 @@ mod tests {
     #[test]
     fn deadline_never_leaves_the_configured_bounds() {
         let o = opts();
-        let mut state = ControlState::new(initial(), limits(), &o);
+        let mut state = ControlState::new(initial(), CAPACITY, &o);
         for _ in 0..500 {
             if let Some((t, _)) = step(&mut state, &hot(64), &o) {
                 let d = t.deadline.expect("tightened tuning has a deadline");
@@ -955,18 +835,14 @@ mod tests {
     }
 
     #[test]
-    fn tuning_handle_swaps_clamp_and_bump_version() {
-        let handle = TuningHandle::new(initial(), limits(), None);
-        let v0 = handle.version();
+    fn tuning_handle_swaps_clamp_and_publish() {
+        let handle = TuningHandle::new(initial(), CAPACITY, None);
         let applied = handle.swap(ActiveTuning {
             deadline: None,
             admission_quota: Some(10_000),
             max_stale_epochs: 3,
-            worker_target: 0,
         });
         assert_eq!(applied.admission_quota, Some(64), "clamped to capacity");
-        assert_eq!(applied.worker_target, 1, "clamped to ≥ 1");
-        assert_eq!(handle.version(), v0 + 1);
         assert_eq!(*handle.load(), *applied);
     }
 
@@ -975,7 +851,7 @@ mod tests {
         use crate::answer_cache::{AnswerCache, AnswerCacheOptions};
         let cache = Arc::new(AnswerCache::new(AnswerCacheOptions::default()));
         assert_eq!(cache.max_stale_epochs(), 0);
-        let handle = TuningHandle::new(initial(), limits(), Some(cache.clone()));
+        let handle = TuningHandle::new(initial(), CAPACITY, Some(cache.clone()));
         handle.swap(ActiveTuning {
             max_stale_epochs: 5,
             ..initial()

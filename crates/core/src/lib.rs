@@ -47,12 +47,12 @@
 //!
 //! Every stage borrows its buffers from a reusable [`QueryWorkspace`]
 //! instead of allocating per query: [`SimPush::query`] manages a
-//! lazily-grown engine-internal workspace, serving loops hold one per
-//! thread and call [`SimPush::query_with`], and
-//! [`SimPush::query_batch`](crate::SimPush::query_batch) gives each worker
-//! its own. Steady-state warm queries perform zero heap allocations in the
-//! push stages, and warm results are bit-identical to cold ones — see the
-//! [`workspace`] module docs for why.
+//! lazily-grown engine-internal workspace, and serving loops hold one per
+//! thread and call [`SimPush::query_with`] (or
+//! [`SimPush::query_seeded_with`], whose per-query seed makes the answer
+//! independent of query order). Steady-state warm queries perform zero
+//! heap allocations in the push stages, and warm results are bit-identical
+//! to cold ones — see the [`workspace`] module docs for why.
 //!
 //! # Concurrent serving (dynamic graphs)
 //!
@@ -79,9 +79,9 @@
 //! # Elastic control plane
 //!
 //! The [`control`] module makes the serving knobs *live*: an
-//! [`ActiveTuning`] (deadline, admission quota, cache staleness, worker
-//! target) is atomically swappable through a [`TuningHandle`] and read
-//! per-request by the front-end, and a closed-loop [`Controller`] samples
+//! [`ActiveTuning`] (deadline, admission quota, cache staleness) is
+//! atomically swappable through a [`TuningHandle`] and read per-request
+//! by the front-end, and a closed-loop [`Controller`] samples
 //! per-interval sojourn/latency histograms to actuate it CoDel-style —
 //! the `elastic_serve` bench shows the controlled ramp holding its p99
 //! SLO where the static configuration collapses.
@@ -90,7 +90,6 @@
 #![warn(missing_docs)]
 
 pub mod answer_cache;
-pub mod batch;
 pub mod config;
 pub mod control;
 pub mod frontend;
@@ -106,11 +105,10 @@ pub mod workspace;
 pub use answer_cache::{
     AnswerCache, AnswerCacheOptions, CacheHit, CacheKey, CacheStats, SupportTracer,
 };
-pub use config::{Config, LevelDetection, McBudget};
+pub use config::{Config, LevelDetection};
 pub use control::{
     step, ActiveTuning, ControlLog, ControlReason, ControlRecord, ControlState, Controller,
     ControllerOptions, HistogramSnapshot, IntervalHistogram, TickObservation, TuningHandle,
-    TuningLimits,
 };
 pub use frontend::{
     Frontend, FrontendObserver, FrontendOptions, FrontendOptionsBuilder, FrontendResponse,

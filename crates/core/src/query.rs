@@ -7,6 +7,7 @@ use crate::hitting::attention_hitting_with;
 use crate::reverse_push::reverse_push_with;
 use crate::source_push::source_push_with;
 use crate::workspace::QueryWorkspace;
+use simrank_common::seeds::splitmix64;
 use simrank_common::{NodeId, Timer};
 use simrank_graph::GraphView;
 use std::sync::{Mutex, TryLockError};
@@ -28,8 +29,8 @@ pub struct SimPush {
     /// `try_lock` only — a contended call (several threads sharing one
     /// engine) falls back to a fresh cold workspace instead of serializing,
     /// so concurrent `query` calls stay as parallel as they were before the
-    /// engine held scratch. The batch driver's workers use their own
-    /// per-thread workspaces and never touch this one.
+    /// engine held scratch. Serving workers use their own per-thread
+    /// workspaces and never touch this one.
     workspace: Mutex<QueryWorkspace>,
 }
 
@@ -171,21 +172,22 @@ impl SimPush {
     /// parallelism. Threads that want guaranteed warm queries should own a
     /// [`QueryWorkspace`] and call [`query_with`](Self::query_with).
     pub fn query<G: GraphView>(&self, g: &G, u: NodeId) -> QueryResult {
+        let cfg = &self.config;
         match self.workspace.try_lock() {
-            Ok(mut ws) => self.query_with(g, u, &mut ws),
+            Ok(mut ws) => run_pipeline(cfg, g, u, &mut ws),
             // A poisoning panic mid-query can only leave stale scratch
             // behind, and every stage clears its scratch before use — safe
             // to reuse.
             Err(TryLockError::Poisoned(poisoned)) => {
-                self.query_with(g, u, &mut poisoned.into_inner())
+                run_pipeline(cfg, g, u, &mut poisoned.into_inner())
             }
-            Err(TryLockError::WouldBlock) => self.query_with(g, u, &mut QueryWorkspace::new()),
+            Err(TryLockError::WouldBlock) => run_pipeline(cfg, g, u, &mut QueryWorkspace::new()),
         }
     }
 
     /// Answers a single-source SimRank query for `u` with caller-managed
-    /// scratch — the warm path for serving loops and batch workers that hold
-    /// one [`QueryWorkspace`] per thread.
+    /// scratch — the warm path for serving loops that hold one
+    /// [`QueryWorkspace`] per thread.
     ///
     /// Results are **bit-identical** to [`query`](Self::query) (pinned by
     /// the `prop_workspace` property suite), and a steady-state call
@@ -197,62 +199,104 @@ impl SimPush {
         u: NodeId,
         ws: &mut QueryWorkspace,
     ) -> QueryResult {
-        // Validate up front: an out-of-range u would otherwise die deep in
-        // the push stages with an opaque slice index panic.
-        let n = g.num_nodes();
-        assert!(
-            (u as usize) < n,
-            "query node {u} out of range for graph with {n} nodes"
-        );
-        let total = Timer::start();
-        let cfg = &self.config;
-        let mut stats = QueryStats {
-            l_star: cfg.l_star(),
-            ..QueryStats::default()
-        };
+        run_pipeline(&self.config, g, u, ws)
+    }
 
-        // Stage 1: Source-Push. The push detects its own depth and reports
-        // how long it spent in the walk sampler, if it needed it at all.
-        let t = Timer::start();
-        let sp = source_push_with(g, u, cfg, &mut ws.source);
-        stats.time_sampling = sp.time_sampling;
-        stats.time_source_push = t.elapsed().saturating_sub(sp.time_sampling);
+    /// Answers `u` under a per-query seed derived from `(config seed, u)`,
+    /// so the answer does not depend on which queries ran before it, on
+    /// which thread, or in what order — the replay handle of the serving
+    /// layers. Runs cold, on a fresh workspace dropped with the call: this
+    /// is the reference the warm paths are compared against, and a replay
+    /// check on a large graph leaves no scratch resident in the engine.
+    pub fn query_seeded<G: GraphView>(&self, g: &G, u: NodeId) -> QueryResult {
+        run_pipeline(&self.config_for(u), g, u, &mut QueryWorkspace::new())
+    }
 
-        let gu = sp.gu;
-        stats.num_walks = sp.num_walks;
-        stats.detected_level = sp.detected_level;
-        stats.level = gu.max_level();
-        stats.attention_per_level = gu.attention_per_level();
-        stats.num_attention = gu.num_attention();
-        stats.gu_nodes_per_level = gu.levels.iter().map(|l| l.h.len()).collect();
-        stats.gu_total_entries = gu.total_entries();
+    /// [`query_seeded`](Self::query_seeded) on caller-managed scratch —
+    /// what every serving worker runs; bit-identical to it.
+    pub fn query_seeded_with<G: GraphView>(
+        &self,
+        g: &G,
+        u: NodeId,
+        ws: &mut QueryWorkspace,
+    ) -> QueryResult {
+        run_pipeline(&self.config_for(u), g, u, ws)
+    }
 
-        // Stage 2: hitting probabilities within Gu, then γ.
-        let t = Timer::start();
-        ws.att.build_into(&gu);
-        attention_hitting_with(g, &gu, &ws.att, cfg.sqrt_c(), &mut ws.hitting);
-        stats.time_hitting = t.elapsed();
-
-        let t = Timer::start();
-        compute_gammas_with(&ws.att, ws.hitting.att_hit(), gu.max_level(), &mut ws.gamma);
-        stats.time_gamma = t.elapsed();
-
-        // Stage 3: Reverse-Push.
-        let t = Timer::start();
-        reverse_push_with(g, &gu, &ws.att, ws.gamma.gammas(), cfg, &mut ws.reverse);
-        let mut scores = ws.reverse.materialize(g.num_nodes());
-        scores[u as usize] = 1.0;
-        stats.time_reverse_push = t.elapsed();
-
-        // Hand Gu's buffers back to the pools for the next query.
-        ws.recycle(gu);
-
-        stats.time_total = total.elapsed();
-        QueryResult {
-            query: u,
-            scores,
-            stats,
+    /// The configuration one seeded query runs under: this engine's, with
+    /// the detection-walk seed derived from the query node. Nothing else
+    /// changes, so the value needs no second [`Config::validate`].
+    fn config_for(&self, u: NodeId) -> Config {
+        let mut state = self.config.seed ^ ((u as u64) << 24);
+        Config {
+            seed: splitmix64(&mut state),
+            ..self.config.clone()
         }
+    }
+}
+
+/// The one query pipeline (paper Algorithm 1) behind the four entry points:
+/// answers `u` on `g` under `cfg`, on the scratch in `ws`.
+fn run_pipeline<G: GraphView>(
+    cfg: &Config,
+    g: &G,
+    u: NodeId,
+    ws: &mut QueryWorkspace,
+) -> QueryResult {
+    // Validate up front: an out-of-range u would otherwise die deep in
+    // the push stages with an opaque slice index panic.
+    let n = g.num_nodes();
+    assert!(
+        (u as usize) < n,
+        "query node {u} out of range for graph with {n} nodes"
+    );
+    let total = Timer::start();
+    let mut stats = QueryStats {
+        l_star: cfg.l_star(),
+        ..QueryStats::default()
+    };
+
+    // Stage 1: Source-Push. The push detects its own depth and reports
+    // how long it spent in the walk sampler, if it needed it at all.
+    let t = Timer::start();
+    let sp = source_push_with(g, u, cfg, &mut ws.source);
+    stats.time_sampling = sp.time_sampling;
+    stats.time_source_push = t.elapsed().saturating_sub(sp.time_sampling);
+
+    let gu = sp.gu;
+    stats.num_walks = sp.num_walks;
+    stats.detected_level = sp.detected_level;
+    stats.level = gu.max_level();
+    stats.attention_per_level = gu.attention_per_level();
+    stats.num_attention = gu.num_attention();
+    stats.gu_nodes_per_level = gu.levels.iter().map(|l| l.h.len()).collect();
+    stats.gu_total_entries = gu.total_entries();
+
+    // Stage 2: hitting probabilities within Gu, then γ.
+    let t = Timer::start();
+    ws.att.build_into(&gu);
+    attention_hitting_with(g, &gu, &ws.att, cfg.sqrt_c(), &mut ws.hitting);
+    stats.time_hitting = t.elapsed();
+
+    let t = Timer::start();
+    compute_gammas_with(&ws.att, ws.hitting.att_hit(), gu.max_level(), &mut ws.gamma);
+    stats.time_gamma = t.elapsed();
+
+    // Stage 3: Reverse-Push.
+    let t = Timer::start();
+    reverse_push_with(g, &gu, &ws.att, ws.gamma.gammas(), cfg, &mut ws.reverse);
+    let mut scores = ws.reverse.materialize(g.num_nodes());
+    scores[u as usize] = 1.0;
+    stats.time_reverse_push = t.elapsed();
+
+    // Hand Gu's buffers back to the pools for the next query.
+    ws.recycle(gu);
+
+    stats.time_total = total.elapsed();
+    QueryResult {
+        query: u,
+        scores,
+        stats,
     }
 }
 
@@ -441,6 +485,78 @@ mod tests {
         let a = engine.query(&g, 99);
         let b = engine.query(&g, 99);
         assert_eq!(a.scores, b.scores);
+    }
+
+    /// A funnel whose push depth is decided by the walks: the hub's
+    /// in-degree alone breaks the edge budget (so stage 1 samples from the
+    /// query node, the paper's algorithm walk for walk), every walk that
+    /// survives two steps sits on `w`, fans out over `w`'s 148
+    /// in-neighbours and only through `x_1` reaches `z` — where
+    /// `h⁽⁴⁾(hub, z) = c²/148 ≈ ε_h/2`, i.e. an expected visit count within
+    /// one of the detection threshold. Returns the graph and the hub.
+    fn seed_sensitive_funnel() -> (simrank_graph::CsrGraph, NodeId) {
+        const FAN: u32 = 148;
+        let (z, w, hub) = (0, FAN + 1, FAN + 2);
+        let mut edges = vec![(z, 1)];
+        edges.extend((1..=FAN).map(|x| (x, w)));
+        edges.extend((hub + 1..hub + 1 + 3400).flat_map(|leaf| [(w, leaf), (leaf, hub)]));
+        (
+            simrank_graph::GraphBuilder::new().with_edges(edges).build(),
+            hub,
+        )
+    }
+
+    #[test]
+    fn seeded_queries_equal_an_engine_built_on_the_derived_seed() {
+        let (g, hub) = seed_sensitive_funnel();
+        let cfg = Config {
+            seed: 1,
+            ..Config::new(0.05)
+        };
+        let derived = splitmix64(&mut (cfg.seed ^ ((hub as u64) << 24)));
+        let reference = SimPush::new(Config {
+            seed: derived,
+            ..cfg.clone()
+        })
+        .query_with(&g, hub, &mut QueryWorkspace::new());
+        // The seed is live on this key. Scores and the trimmed `Gu` move
+        // with it only when a true attention node is missed (probability
+        // ≤ δ by construction); what the walks do decide is how deep the
+        // push goes before the trim — and the engine's own seed, used
+        // underived, decides differently.
+        let underived = SimPush::new(cfg.clone()).query(&g, hub);
+        assert_eq!(reference.stats.num_walks, cfg.num_detection_walks());
+        assert_eq!(
+            (
+                reference.stats.detected_level,
+                underived.stats.detected_level
+            ),
+            (4, 3)
+        );
+
+        let same = |got: &QueryResult, what: &str| {
+            assert_eq!(got.scores, reference.scores, "{what}");
+            assert_eq!(got.stats.num_walks, reference.stats.num_walks, "{what}");
+            assert_eq!(got.stats.level, reference.stats.level, "{what}");
+            assert_eq!(
+                got.stats.detected_level, reference.stats.detected_level,
+                "{what}"
+            );
+        };
+        let engine = SimPush::new(cfg);
+        let mut ws = QueryWorkspace::new();
+        same(&engine.query_seeded(&g, hub), "query_seeded, cold");
+        same(
+            &engine.query_seeded_with(&g, hub, &mut ws),
+            "query_seeded_with, cold",
+        );
+        for other in [0, 1, hub - 1, hub + 7] {
+            engine.query_seeded_with(&g, other, &mut ws);
+        }
+        same(
+            &engine.query_seeded_with(&g, hub, &mut ws),
+            "query_seeded_with, warm",
+        );
     }
 
     #[test]

@@ -60,23 +60,6 @@ impl SourceGraph {
         self.levels.iter().map(|l| l.h.len()).sum()
     }
 
-    /// Iterates `(level, node, h)` over all attention nodes, levels `1..=L`.
-    pub fn attention_entries(&self) -> impl Iterator<Item = (usize, NodeId, f64)> + '_ {
-        self.levels
-            .iter()
-            .enumerate()
-            .skip(1)
-            .flat_map(|(ell, lvl)| {
-                lvl.attention.iter().map(move |&w| {
-                    let h = lvl
-                        .h
-                        .get(w)
-                        .expect("attention node must be in the level map");
-                    (ell, w, h)
-                })
-            })
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn logical_bytes(&self) -> usize {
         self.levels
@@ -125,13 +108,6 @@ mod tests {
         assert_eq!(gu.num_attention(), 2, "level-0 attention excluded");
         assert_eq!(gu.attention_per_level(), vec![0, 1, 1]);
         assert_eq!(gu.total_entries(), 4);
-    }
-
-    #[test]
-    fn attention_entries_carry_h() {
-        let gu = tiny();
-        let entries: Vec<_> = gu.attention_entries().collect();
-        assert_eq!(entries, vec![(1, 1, 0.4), (2, 0, 0.2)]);
     }
 
     #[test]

@@ -59,9 +59,9 @@
 //!   `h ≥ ε_h` the mean `μ` is at least `ε_h·R`, the threshold at most
 //!   `μ/2`, and the multiplicative Chernoff lower tail gives a miss
 //!   probability `≤ exp(−μ/8) ≤ exp(−ε_h·R/8)` — the inequality
-//!   [`McBudget::Chernoff`](crate::config::McBudget::Chernoff) sizes `R`
-//!   with, so the union bound over the `≤ √c/((1−√c)·ε_h)` attention nodes
-//!   and the failure probability `δ` are unchanged.
+//!   [`Config::num_detection_walks`] sizes `R` with, so the union bound
+//!   over the `≤ √c/((1−√c)·ε_h)` attention nodes and the failure
+//!   probability `δ` are unchanged.
 //! * **What comes out.** Levels past the deepest attention level are trimmed
 //!   either way, so whenever the exact phase settles the result *is*
 //!   [`LevelDetection::Exact`]'s, and otherwise it equals it with

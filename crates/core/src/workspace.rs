@@ -24,11 +24,10 @@
 //! `prop_workspace` property suite pins this down across random graphs,
 //! seeds and query sequences.
 //!
-//! The workspace is deliberately **not** shared between threads: the batch
-//! driver gives each worker its own (see
-//! [`query_batch`](crate::SimPush::query_batch)), which is also the intended
-//! pattern for any future snapshot server — one workspace per serving
-//! thread, zero cross-thread coordination.
+//! The workspace is deliberately **not** shared between threads: every
+//! serving worker ([`Frontend`](crate::Frontend), [`serve`](crate::serve))
+//! owns one — one workspace per serving thread, zero cross-thread
+//! coordination.
 
 use crate::hitting::AttentionIndex;
 use crate::source_graph::{Level, SourceGraph};

@@ -1,8 +1,9 @@
 //! The nine synthetic benchmark datasets (stand-ins for paper Table 4).
 //!
 //! Every dataset is deterministic (fixed seed), scaled from the paper's
-//! graphs by roughly 100–1000× (see `DESIGN.md` §4 for the substitution
-//! argument), and cached under a data directory in the compact binary
+//! graphs by roughly 100–1000× (each [`DatasetSpec`] names the graph it
+//! substitutes for and `docs/REPRODUCING.md` says what the substitution
+//! preserves), and cached under a data directory in the compact binary
 //! format so figure runs pay generation cost once.
 //!
 //! Scaling: set `SIMRANK_SCALE` (default 1.0) to shrink/grow every dataset
@@ -126,7 +127,7 @@ fn rmat_scale(n: usize) -> u32 {
 }
 
 /// The nine-dataset registry mirroring paper Table 4, scaled by `scale`
-/// (1.0 = the DESIGN.md §4 sizes).
+/// (1.0 = the sizes `table4` prints).
 pub fn registry_scaled(scale: f64) -> Vec<DatasetSpec> {
     vec![
         DatasetSpec {

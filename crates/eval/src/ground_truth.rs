@@ -1,7 +1,6 @@
 //! Pooled ground truth (paper §5.1).
 //!
-//! For small graphs the power method gives exact values. For benchmark
-//! graphs we follow the paper: pool the top-k candidates of every evaluated
+//! We follow the paper: pool the top-k candidates of every evaluated
 //! method, estimate `s(u, v)` for each pooled `v` by high-sample pairwise
 //! Monte-Carlo, and define the ground-truth top-k `Vk` as the best `k` of
 //! the pool. Estimates are cached on disk keyed by
@@ -22,25 +21,6 @@ pub struct GroundTruth {
     pub top_k: Vec<(NodeId, f64)>,
     /// All pooled values (superset of `top_k`).
     pub values: FxHashMap<NodeId, f64>,
-}
-
-/// Computes exact pooled ground truth with the power method (small graphs
-/// only; see [`simrank_baselines::power_method`] limits).
-pub fn exact_ground_truth<G: GraphView>(g: &G, u: NodeId, k: usize) -> GroundTruth {
-    let exact = simrank_baselines::power_method(g, 0.6, 1e-12, 120);
-    let row = exact.single_source(u);
-    let mut values = FxHashMap::default();
-    for (v, &s) in row.iter().enumerate() {
-        if s > 0.0 && v as NodeId != u {
-            values.insert(v as NodeId, s);
-        }
-    }
-    let top_k = select_top_k(&values, k);
-    GroundTruth {
-        query: u,
-        top_k,
-        values,
-    }
 }
 
 /// Monte-Carlo pooled ground truth with disk cache.
@@ -149,24 +129,13 @@ mod tests {
     use simrank_graph::gen::shapes;
 
     #[test]
-    fn exact_ground_truth_ranks_by_simrank() {
-        let g = shapes::jeh_widom();
-        let gt = exact_ground_truth(&g, 1, 3);
-        assert!(!gt.top_k.is_empty());
-        for w in gt.top_k.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        assert!(!gt.values.contains_key(&1), "query excluded");
-    }
-
-    #[test]
     fn pooled_matches_exact_within_noise() {
         let g = shapes::jeh_widom();
-        let exact = exact_ground_truth(&g, 1, 4);
+        let exact = simrank_baselines::power_method(&g, 0.6, 1e-12, 120).single_source(1);
         let pool: FxHashSet<NodeId> = [0, 2, 3, 4].into_iter().collect();
         let pooled = pooled_ground_truth(&g, "jw", 1, &pool, 4, 60_000, 5, 2, None);
         for (&v, &s) in &pooled.values {
-            let e = exact.values.get(&v).copied().unwrap_or(0.0);
+            let e = exact[v as usize];
             assert!((s - e).abs() < 0.01, "v={v}: pooled {s} exact {e}");
         }
     }

@@ -5,9 +5,10 @@
 //! * [`metrics`] — `AvgError@k` and `Precision@k` against pooled ground
 //!   truth.
 //! * [`ground_truth`] — pooled pairwise Monte-Carlo ground truth with an
-//!   on-disk cache, plus a power-method exact path for small graphs.
+//!   on-disk cache.
 //! * [`datasets`] — the nine deterministic synthetic stand-ins for the
-//!   paper's Table 4 datasets (substitutions documented in `DESIGN.md` §4).
+//!   paper's Table 4 datasets (substitutions documented per dataset and in
+//!   `docs/REPRODUCING.md`).
 //! * [`methods`] — the seven methods with the paper's five-point parameter
 //!   grids, behind one factory interface.
 //! * [`mixed`] — deterministic mixed update/query workload generation for

@@ -58,11 +58,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of raw (pre-normalisation) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Normalises and freezes into a [`CsrGraph`].
     pub fn build(self) -> CsrGraph {
         let Self {
@@ -155,7 +150,6 @@ mod tests {
     fn incremental_add_edge() {
         let mut b = GraphBuilder::new();
         b.add_edge(3, 1).add_edge(1, 3);
-        assert_eq!(b.raw_edge_count(), 2);
         let g = b.build();
         assert_eq!(g.num_nodes(), 4);
         assert!(g.has_edge(3, 1) && g.has_edge(1, 3));

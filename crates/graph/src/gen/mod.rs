@@ -1,6 +1,7 @@
 //! Deterministic synthetic graph generators.
 //!
-//! These stand in for the paper's nine real-world datasets (DESIGN.md §4):
+//! These stand in for the paper's nine real-world datasets
+//! (`docs/REPRODUCING.md`):
 //! web crawls are modelled by the [`copying`] model (power-law in-degrees
 //! with locally dense neighbourhoods), social networks by [`rmat`](mod@rmat)
 //! and [`ba`] (preferential attachment), collaboration networks by symmetrised

@@ -30,15 +30,6 @@ pub fn star_in(n: usize) -> CsrGraph {
         .build()
 }
 
-/// Out-star: the centre `0` points at every leaf `1..n`.
-pub fn star_out(n: usize) -> CsrGraph {
-    assert!(n >= 2, "a star needs a centre and at least one leaf");
-    GraphBuilder::new()
-        .with_num_nodes(n)
-        .with_edges((1..n).map(|v| (0, v as NodeId)))
-        .build()
-}
-
 /// Complete digraph on `n` nodes (all ordered pairs, no loops).
 pub fn complete(n: usize) -> CsrGraph {
     let mut b = GraphBuilder::new().with_num_nodes(n);
@@ -145,9 +136,6 @@ mod tests {
         let g_in = star_in(5);
         assert_eq!(g_in.in_degree(0), 4);
         assert_eq!(g_in.out_degree(0), 0);
-        let g_out = star_out(5);
-        assert_eq!(g_out.out_degree(0), 4);
-        assert_eq!(g_out.in_degree(0), 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   policy and undirected symmetrisation (paper §2.1 converts undirected
 //!   inputs to edge pairs).
 //! * [`gen`] — deterministic synthetic generators standing in for the
-//!   paper's nine datasets (see `DESIGN.md` §4).
+//!   paper's nine datasets (see `docs/REPRODUCING.md`).
 //! * [`io`] — whitespace edge-list text format (SNAP-style, `#` comments)
 //!   and a compact binary snapshot format for dataset caching.
 //! * [`storage`] — the out-of-core tier: the `SRGD` on-disk CSR layout with

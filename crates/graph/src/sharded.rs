@@ -193,13 +193,6 @@ impl<P: Partitioner> ShardedSnapshot<P> {
         &self.shards[k]
     }
 
-    /// Per-shard epoch numbers at this cut (shards publish independently,
-    /// so these generally differ from each other and from
-    /// [`cut`](Self::cut)).
-    pub fn shard_epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
-    }
-
     /// True if the directed edge `(src, dst)` exists at this cut.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
         self.shards[self.partitioner.shard_of(src)].has_edge(src, dst)

@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use simpush::{
     ActiveTuning, Config, ControlState, ControllerOptions, Frontend, FrontendOptions, QueryOutcome,
-    SimPush, TickObservation, Ticket, TuningLimits,
+    SimPush, TickObservation, Ticket,
 };
 use simrank_suite::prelude::*;
 use std::sync::Arc;
@@ -48,7 +48,7 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 /// triple so proptest shrinks over plain integers.
 ///
 /// Tuning swaps deliberately cover the nasty corners: `Some(0)` quota
-/// (shed everything), a 1-worker target (park half the pool), and a
+/// (shed everything), crossed with a
 /// deadline short enough to expire queued work — all legal, all allowed
 /// to change outcomes, none allowed to change answers.
 fn decode_tuning(a: usize, b: usize) -> ActiveTuning {
@@ -64,7 +64,6 @@ fn decode_tuning(a: usize, b: usize) -> ActiveTuning {
             _ => Some(1 + b % QUEUE_CAPACITY),
         },
         max_stale_epochs: 0,
-        worker_target: 1 + a % WORKERS,
     }
 }
 
@@ -174,11 +173,6 @@ proptest! {
             deadline: Some(Duration::from_millis(deadline_ms)),
             admission_quota: quota.checked_sub(1),
             max_stale_epochs: 0,
-            worker_target: WORKERS,
-        };
-        let limits = TuningLimits {
-            max_workers: WORKERS,
-            queue_capacity: QUEUE_CAPACITY,
         };
         let stream: Vec<TickObservation> = observations
             .iter()
@@ -194,7 +188,7 @@ proptest! {
             .collect();
 
         let run = |stream: &[TickObservation]| {
-            let mut state = ControlState::new(initial.clone(), limits, &opts);
+            let mut state = ControlState::new(initial.clone(), QUEUE_CAPACITY, &opts);
             stream
                 .iter()
                 .map(|obs| simpush::step(&mut state, obs, &opts))
