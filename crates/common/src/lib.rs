@@ -20,7 +20,7 @@
 //! * [`seeds`] — SplitMix64 seed derivation so that parallel samplers and
 //!   dataset generators are deterministic from a single master seed.
 //! * [`stats`] — the shared nearest-rank percentile helper every latency
-//!   report (serve reports, front-end sweeps) goes through, so `p95`/`p99`
+//!   report (scenario reports, the elastic ramp) goes through, so `p95`/`p99`
 //!   mean the same thing everywhere.
 //! * [`workspace`] — [`EpochVec`], an epoch-stamped dense scratch vector
 //!   with O(1) logical clear; the building block of the reusable per-query

@@ -1,10 +1,10 @@
 //! Small latency-statistics helpers shared by the serving layers and the
 //! bench emitters.
 //!
-//! Every percentile reported anywhere in the workspace — `p95`/`p99` on
-//! the serve reports, the front-end's offered-load sweep, the scenario
-//! matrix — goes through [`duration_percentile`], so all of them agree on
-//! one definition: **nearest-rank on the sorted sample**, index
+//! Every percentile reported anywhere in the workspace — the scenario
+//! matrix, the elastic ramp, the controller's interval histograms — goes
+//! through [`duration_percentile`], so all of them agree on one
+//! definition: **nearest-rank on the sorted sample**, index
 //! `⌊(len − 1) · p / 100⌋`. That definition never interpolates (the
 //! returned value is always an observed sample) and pins ties
 //! deterministically: equal samples sort stably by value, so the reported
@@ -22,10 +22,10 @@ use std::time::Duration;
 
 /// A latency distribution summarised once from a sample set.
 ///
-/// Everything that reports latency (`ServeReport::query_latencies`,
-/// `ScenarioReport`, the bench emitters) wants the same five statistics —
-/// mean, p50, p95, p99, max. A `LatencySummary` sorts **once** at
-/// construction and answers every accessor from the precomputed fields.
+/// Everything that reports latency (`ScenarioReport`, the `elastic_serve`
+/// ramp) wants the same five statistics — mean, p50, p95, p99, max. A
+/// `LatencySummary` sorts **once** at construction and answers every
+/// accessor from the precomputed fields.
 ///
 /// Percentiles follow [`duration_percentile`] exactly (nearest-rank,
 /// `None` on empty); [`LatencySummary::mean`] returns `Duration::ZERO` on

@@ -1,12 +1,10 @@
 //! Async serving front-end: bounded admission queue, worker pool,
 //! backpressure and per-query deadlines.
 //!
-//! [`serve_mixed`](crate::serve_mixed) and
-//! [`serve_sharded`](crate::serve_sharded) drive *scripted* workloads — a
-//! fixed query list drained as fast as the readers can go. A real service
-//! faces the opposite shape: requests arrive on their own clock, pile up
-//! when they outrun capacity, and become worthless once they are too old.
-//! The [`Frontend`] models exactly that:
+//! A real service does not drain a fixed query list as fast as it can:
+//! requests arrive on their own clock, pile up when they outrun capacity,
+//! and become worthless once they are too old. The [`Frontend`] models
+//! exactly that, over a store whose writers keep committing:
 //!
 //! * **Bounded queue** — submissions go through a fixed-capacity MPMC
 //!   channel ([`crossbeam::channel`]). [`try_submit`](Frontend::try_submit)
@@ -1053,32 +1051,42 @@ mod tests {
 
     #[test]
     fn answers_match_direct_seeded_queries_on_a_quiescent_store() {
-        let store = Arc::new(GraphStore::new(gen::gnm(150, 700, 5)));
+        // Once over the in-RAM CSR, once over a disk-backed store written
+        // from it: the storage tier sits below `SnapshotSource`, so both
+        // serve the direct answers on the RAM CSR.
+        use simrank_graph::storage::{write_disk_graph, DiskGraph, DiskGraphOptions};
+        let g = gen::gnm(150, 700, 5);
+        let path = std::env::temp_dir().join("simpush-frontend-quiescent-test.srgd");
+        write_disk_graph(&g, &path, 1024).unwrap();
+        let disk = DiskGraph::open_mem(&path, DiskGraphOptions::default()).unwrap();
         let engine = SimPush::new(Config::new(0.05));
-        let frontend = Frontend::start(&engine, store.clone(), options(3, 64).top_k(3).build());
         let queries: Vec<NodeId> = (0..20).map(|i| (i * 17) % 150).collect();
-        let tickets: Vec<Ticket> = queries
-            .iter()
-            .map(|&u| frontend.try_submit(u).expect("queue has space"))
-            .collect();
-        let snap = store.snapshot();
-        for (ticket, &u) in tickets.into_iter().zip(&queries) {
-            match ticket.wait() {
-                QueryOutcome::Answered(r) => {
-                    assert_eq!(r.node, u);
-                    assert_eq!(r.epoch, 0);
-                    let solo = engine.query_seeded(&*snap, u);
-                    assert_eq!(r.top, solo.top_k(3), "u={u}");
+        for store in [GraphStore::new(g.clone()), GraphStore::open_disk(disk)] {
+            let frontend =
+                Frontend::start(&engine, Arc::new(store), options(3, 64).top_k(3).build());
+            let tickets: Vec<Ticket> = queries
+                .iter()
+                .map(|&u| frontend.try_submit(u).expect("queue has space"))
+                .collect();
+            for (ticket, &u) in tickets.into_iter().zip(&queries) {
+                match ticket.wait() {
+                    QueryOutcome::Answered(r) => {
+                        assert_eq!(r.node, u);
+                        assert_eq!(r.epoch, 0);
+                        let solo = engine.query_seeded(&g, u);
+                        assert_eq!(r.top, solo.top_k(3), "u={u}");
+                    }
+                    other => panic!("no deadline set, expected an answer: {other:?}"),
                 }
-                other => panic!("no deadline set, expected an answer: {other:?}"),
             }
+            let stats = frontend.shutdown();
+            assert_eq!(stats.accepted, 20);
+            assert_eq!(stats.answered, 20);
+            assert_eq!(stats.rejected, 0);
+            assert_eq!(stats.deadline_misses, 0);
+            assert_eq!(stats.queue_depth, 0);
         }
-        let stats = frontend.shutdown();
-        assert_eq!(stats.accepted, 20);
-        assert_eq!(stats.answered, 20);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.deadline_misses, 0);
-        assert_eq!(stats.queue_depth, 0);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

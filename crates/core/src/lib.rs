@@ -54,24 +54,18 @@
 //! heap allocations in the push stages, and warm results are bit-identical
 //! to cold ones — see the [`workspace`] module docs for why.
 //!
-//! # Concurrent serving (dynamic graphs)
+//! # Serving front-end (dynamic graphs, admission control)
 //!
-//! [`serve_mixed`] drives the paper's "frequent updates" scenario end to
-//! end: a writer thread commits edge-update batches to a
-//! [`GraphStore`](simrank_graph::GraphStore) while reader threads answer
-//! queries on immutable epoch snapshots — see the [`serve`] module docs.
-//! [`serve_sharded`] scales the writer side across the K shards of a
-//! [`ShardedStore`](simrank_graph::ShardedStore), with barrier-consistent
-//! composite cuts and the same bit-identity guarantee.
-//!
-//! # Serving front-end (admission control)
-//!
-//! The scripted serving loops drain a fixed query list; the [`Frontend`]
-//! models real arrival traffic instead: a bounded admission queue with
-//! non-blocking backpressure ([`Frontend::try_submit`] returns
-//! [`SubmitError::Overloaded`] when full), a worker pool answering on
-//! per-request fresh snapshots, and per-query deadlines whose expirations
-//! are dropped at dequeue and counted — see the [`frontend`] module docs.
+//! The [`Frontend`] serves the paper's "frequent updates" scenario end to
+//! end: writers commit edge-update batches to a
+//! [`GraphStore`](simrank_graph::GraphStore) or to the K shards of a
+//! [`ShardedStore`](simrank_graph::ShardedStore) while it answers queries
+//! on immutable epoch / consistent-cut snapshots, under real arrival
+//! traffic: a bounded admission queue with non-blocking backpressure
+//! ([`Frontend::try_submit`] returns [`SubmitError::Overloaded`] when
+//! full), a worker pool answering on per-request fresh snapshots, and
+//! per-query deadlines whose expirations are dropped at dequeue and
+//! counted — see the [`frontend`] module docs.
 //! `FrontendOptions` construction migrated to a validating builder
 //! ([`FrontendOptions::builder`]); the struct is `#[non_exhaustive]`, so
 //! new serving knobs land without breaking call sites.
@@ -97,7 +91,6 @@ pub mod gamma;
 pub mod hitting;
 pub mod query;
 pub mod reverse_push;
-pub mod serve;
 pub mod source_graph;
 pub mod source_push;
 pub mod workspace;
@@ -115,9 +108,5 @@ pub use frontend::{
     FrontendStats, IntervalSample, QueryOutcome, SnapshotSource, SubmitError, Ticket,
 };
 pub use query::{QueryResult, QueryStats, SimPush};
-pub use serve::{
-    serve_mixed, serve_sharded, QueryRecord, ServeOptions, ServeReport, ShardUpdateRecord,
-    ShardedServeOptions, ShardedServeReport, UpdateRecord,
-};
 pub use source_graph::SourceGraph;
 pub use workspace::QueryWorkspace;

@@ -25,9 +25,8 @@
 //! seeds and query sequences.
 //!
 //! The workspace is deliberately **not** shared between threads: every
-//! serving worker ([`Frontend`](crate::Frontend), [`serve`](crate::serve))
-//! owns one — one workspace per serving thread, zero cross-thread
-//! coordination.
+//! [`Frontend`](crate::Frontend) worker owns one — one workspace per
+//! serving thread, zero cross-thread coordination.
 
 use crate::hitting::AttentionIndex;
 use crate::source_graph::{Level, SourceGraph};

@@ -12,7 +12,8 @@
 //! * [`methods`] — the seven methods with the paper's five-point parameter
 //!   grids, behind one factory interface.
 //! * [`mixed`] — deterministic mixed update/query workload generation for
-//!   the dynamic serving scenario (`GraphStore` + `serve_mixed`).
+//!   the dynamic serving scenario (a `Frontend` over a store whose
+//!   writers keep committing).
 //! * [`zipf`] — deterministic seeded Zipf key sampling for skewed
 //!   workloads.
 //! * [`scenario`] — the named workload-scenario matrix (`read_heavy`,

@@ -21,8 +21,8 @@
 //!
 //! * **K independent writers.** Each shard is a single-writer
 //!   [`GraphStore`]; K writer threads apply and publish concurrently with
-//!   no shared lock (the serving loop `simpush::serve::serve_sharded`
-//!   drives exactly this shape).
+//!   no shared lock (`lockstep_writers` in `tests/integration_serve.rs`
+//!   drives exactly this shape beside a live front-end).
 //! * **Smaller compaction domains.** A shard compaction rebuilds
 //!   `O(n + m_k)` instead of `O(n + m)`; with a locality-friendly
 //!   partitioner `m_k ≈ m / K`, so the amortised compaction cost per
@@ -260,7 +260,8 @@ impl<P: Partitioner> GraphView for ShardedSnapshot<P> {
 ///   [`publish_shard`](Self::publish_shard) on the per-shard sub-batches
 ///   from [`route_batch`](Self::route_batch), then exactly one thread
 ///   calls [`refresh`](Self::refresh) while no publish is in flight (a
-///   barrier between batches — see `simpush::serve::serve_sharded`).
+///   barrier between batches — see `lockstep_writers` in
+///   `tests/integration_serve.rs`).
 ///   Readers call [`snapshot`](Self::snapshot) at any time and always see
 ///   the latest consistent cut, never a torn half-mirrored state.
 #[derive(Debug)]
@@ -401,11 +402,6 @@ impl<P: Partitioner + Clone> ShardedStore<P> {
             .read()
             .unwrap_or_else(|p| p.into_inner())
             .clone()
-    }
-
-    /// Current cut number (the one [`snapshot`](Self::snapshot) returns).
-    pub fn cut(&self) -> u64 {
-        self.snapshot().cut
     }
 
     /// Lock-free hint of the current cut number — same contract as

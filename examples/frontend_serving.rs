@@ -123,21 +123,11 @@ fn main() {
         epochs.len()
     );
 
-    // Phase 3: replay every answer on its epoch's rebuild.
-    let mut replica = MutableGraph::from_csr(&base);
-    let mut rebuilt: Vec<CsrGraph> = vec![replica.snapshot()];
-    for chunk in workload.updates.chunks(16) {
-        for &u in chunk {
-            let (s, t) = u.endpoints();
-            match u {
-                GraphUpdate::Insert(..) => replica.insert_edge(s, t),
-                GraphUpdate::Remove(..) => replica.remove_edge(s, t),
-            };
-        }
-        rebuilt.push(replica.snapshot());
-    }
+    // Phase 3: replay every answer on its epoch's rebuild (epoch e is the
+    // base plus the first e batches of 16).
     for (u, epoch, top) in &answered {
-        let solo = engine.query_seeded(&rebuilt[*epoch as usize], *u);
+        let rebuilt = workload.graph_after(&base, *epoch as usize * 16);
+        let solo = engine.query_seeded(&rebuilt, *u);
         assert_eq!(*top, solo.top_k(3), "epoch {epoch} answer for u={u}");
     }
     println!(

@@ -1,41 +1,149 @@
-//! Deterministic integration tests for the serving entry points
-//! (`serve_mixed`, `serve_sharded`, and the `Frontend` admission layer).
+//! Deterministic integration tests for serving through the [`Frontend`]
+//! while writers commit into the store it reads.
 //!
 //! `prop_store` races 4 readers against a writer to stress epoch
 //! consistency; these tests pin the *deterministic* half of the serving
 //! contract instead, on fixed workloads from `simrank_eval::mixed`:
 //!
-//! * record counts, the update-epoch sequence and the compaction count
-//!   are exact, run after run;
-//! * every query answer — whatever epoch/cut scheduling happened to give
-//!   it — is bit-identical to a cold [`SimPush::query_seeded`] on a fresh
-//!   CSR rebuild of exactly that epoch/cut's graph, reconstructed by
-//!   replaying the committed update prefix. The front-end tests extend
-//!   this replay harness through the admission queue: whatever worker
-//!   served a request, and whatever epoch/cut its snapshot happened to
-//!   be, the recorded answer must reproduce from that version's rebuild.
+//! * commit records, the epoch/cut sequence and the compaction count are
+//!   exact, run after run;
+//! * every answer — whatever worker served it, and whatever epoch/cut its
+//!   snapshot happened to be — is bit-identical to a cold
+//!   [`SimPush::query_seeded`] on a fresh CSR rebuild of exactly that
+//!   version's graph, reconstructed by replaying the committed update
+//!   prefix ([`MixedWorkload::graph_after`]).
+//!
+//! [`lockstep_writers`] is the concurrent K-writer protocol of
+//! [`ShardedStore`] — one thread per shard, `apply_shard` →
+//! `publish_shard` → barrier → one `refresh` → barrier — and the sharded
+//! tests run it beside a live front-end.
 
 use simpush::{
-    serve_mixed, serve_sharded, Config, Frontend, FrontendOptions, QueryOutcome, ServeOptions,
-    ShardedServeOptions, SimPush, Ticket,
+    Config, Frontend, FrontendOptions, FrontendResponse, QueryOutcome, SimPush, SnapshotSource,
+    Ticket,
 };
-use simrank_eval::mixed::{mixed_workload, sharded_workload};
+use simrank_eval::mixed::{mixed_workload, sharded_workload, MixedWorkload};
 use simrank_eval::scenario::{calibrate, catalog, run_scenario, ScenarioScale};
 use simrank_suite::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-/// Replays the first `count` updates of `updates` onto `base`.
-fn graph_after(base: &CsrGraph, updates: &[GraphUpdate], count: usize) -> CsrGraph {
-    let mut replica = MutableGraph::from_csr(base);
-    for &u in &updates[..count.min(updates.len())] {
-        let (s, t) = u.endpoints();
-        match u {
-            GraphUpdate::Insert(..) => replica.insert_edge(s, t),
-            GraphUpdate::Remove(..) => replica.remove_edge(s, t),
-        };
+/// The answer an accepted request for `u` resolved to; panics on any
+/// other outcome (these tests set no deadline and never cancel).
+fn answered(outcome: QueryOutcome, u: NodeId) -> FrontendResponse {
+    match outcome {
+        QueryOutcome::Answered(r) => {
+            assert_eq!(r.node, u);
+            r
+        }
+        other => panic!("request {u} not answered: {other:?}"),
     }
-    replica.snapshot()
+}
+
+/// Asserts every answer reproduces on its version's rebuild: version `v`
+/// (epoch or cut) is `base` plus the first `v` batches of `batch` updates.
+fn assert_replays(
+    engine: &SimPush,
+    base: &CsrGraph,
+    workload: &MixedWorkload,
+    batch: usize,
+    top_k: usize,
+    answers: &[FrontendResponse],
+) {
+    let versions = workload.updates.len().div_ceil(batch) as u64;
+    for r in answers {
+        assert!(r.epoch <= versions, "version {} from the future", r.epoch);
+        let g = workload.graph_after(base, r.epoch as usize * batch);
+        assert_eq!(
+            r.top,
+            engine.query_seeded(&g, r.node).top_k(top_k),
+            "version {} answer for u={} drifted from rebuild",
+            r.epoch,
+            r.node
+        );
+    }
+}
+
+/// Answers `queries` through a `workers`-thread front-end over `store`
+/// (no deadline) while `write` runs on its own thread; returns what
+/// `write` returned and the answers, in query order.
+fn serve_while<S: SnapshotSource, W: Send>(
+    engine: &SimPush,
+    store: &Arc<S>,
+    workers: usize,
+    top_k: usize,
+    queries: &[NodeId],
+    write: impl FnOnce() -> W + Send,
+) -> (W, Vec<FrontendResponse>) {
+    let frontend = Frontend::start(
+        engine,
+        store.clone(),
+        FrontendOptions::builder()
+            .workers(workers)
+            .default_deadline(None)
+            .top_k(top_k)
+            .build(),
+    );
+    let (written, answers) = std::thread::scope(|scope| {
+        let writer = scope.spawn(write);
+        let tickets: Vec<Ticket> = queries
+            .iter()
+            .map(|&u| frontend.try_submit(u).expect("queue has space"))
+            .collect();
+        let answers: Vec<FrontendResponse> = tickets
+            .into_iter()
+            .zip(queries)
+            .map(|(ticket, &u)| answered(ticket.wait(), u))
+            .collect();
+        (writer.join().expect("writer panicked"), answers)
+    });
+    let stats = frontend.shutdown();
+    assert_eq!(stats.answered, queries.len() as u64);
+    (written, answers)
+}
+
+/// Commits `updates` in global batches of `batch` through the concurrent
+/// K-writer protocol: each global batch is routed once, then one thread
+/// per shard applies and publishes its sub-batch and waits on a barrier,
+/// the barrier's leader refreshes the composite, and nobody starts the
+/// next batch before a second wait — a publish racing the refresh would
+/// tear the cut. Returns one `(shard, batch, applied)` record per shard
+/// commit, grouped by shard, then batch; `applied` counts owner-effective
+/// updates, so each logical update is counted once.
+fn lockstep_writers<P: Partitioner + Clone>(
+    store: &ShardedStore<P>,
+    updates: &[GraphUpdate],
+    batch: usize,
+) -> Vec<(usize, usize, usize)> {
+    let routed: Vec<Vec<Vec<GraphUpdate>>> = updates
+        .chunks(batch)
+        .map(|b| store.route_batch(b))
+        .collect();
+    let barrier = Barrier::new(store.num_shards());
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..store.num_shards())
+            .map(|shard| {
+                let (routed, barrier) = (&routed, &barrier);
+                scope.spawn(move || {
+                    let mut commits = Vec::with_capacity(routed.len());
+                    for (g, subs) in routed.iter().enumerate() {
+                        let applied = store.apply_shard(shard, &subs[shard]);
+                        store.publish_shard(shard);
+                        commits.push((shard, g, applied));
+                        if barrier.wait().is_leader() {
+                            store.refresh();
+                        }
+                        barrier.wait();
+                    }
+                    commits
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("shard writer panicked"))
+            .collect()
+    })
 }
 
 #[test]
@@ -44,72 +152,48 @@ fn single_reader_single_writer_serve_mixed_is_pinned() {
     const TOP_K: usize = 3;
     let base = simrank_suite::graph::gen::gnm(180, 900, 21);
     let workload = mixed_workload(&base, 64, 12, 0.3, 33);
-    let store = GraphStore::with_compaction_threshold(base.clone(), 24);
+    let store = Arc::new(GraphStore::with_compaction_threshold(base.clone(), 24));
     let engine = SimPush::new(Config::new(0.05));
 
-    let report = serve_mixed(
-        &engine,
-        &store,
-        &workload.queries,
-        &workload.updates,
-        &ServeOptions {
-            reader_threads: 1,
-            updates_per_batch: BATCH,
-            top_k: TOP_K,
-        },
-    );
+    // The writer records (applied, epoch, compacted) per committed batch.
+    let (commits, answers) = serve_while(&engine, &store, 1, TOP_K, &workload.queries, || {
+        workload
+            .updates
+            .chunks(BATCH)
+            .map(|batch| {
+                let (applied, info) = store.commit(batch);
+                (applied, info.epoch, info.compacted)
+            })
+            .collect::<Vec<_>>()
+    });
 
-    // Pinned record counts: every query answered once, one update record
-    // per batch, epochs published strictly in sequence.
-    assert_eq!(report.queries.len(), 12);
-    assert_eq!(report.updates.len(), 8, "64 updates / batches of 8");
-    assert_eq!(report.final_epoch, 8);
-    let epochs: Vec<u64> = report.updates.iter().map(|u| u.epoch).collect();
+    // Pinned record counts: every query answered once, one commit per
+    // batch, epochs published strictly in sequence.
+    assert_eq!(answers.len(), 12);
+    assert_eq!(commits.len(), 8, "64 updates / batches of 8");
+    assert_eq!(store.epoch(), 8);
+    let epochs: Vec<u64> = commits.iter().map(|&(_, epoch, _)| epoch).collect();
     assert_eq!(epochs, (1..=8).collect::<Vec<u64>>());
     // The generator emits only effective updates, so every batch applies
     // in full — and the compaction schedule is therefore deterministic:
     // threshold 24 over 64 effective updates fires exactly twice
     // (churn resets on compaction: 24 at epoch 3, 24 more by epoch 6).
-    for rec in &report.updates {
-        assert_eq!(rec.applied, BATCH);
+    for &(applied, _, _) in &commits {
+        assert_eq!(applied, BATCH);
     }
-    assert_eq!(report.compactions, 2);
-    let compacted: Vec<u64> = report
-        .updates
+    assert_eq!(store.compactions(), 2);
+    let compacted: Vec<u64> = commits
         .iter()
-        .filter(|u| u.compacted)
-        .map(|u| u.epoch)
+        .filter(|&&(_, _, compacted)| compacted)
+        .map(|&(_, epoch, _)| epoch)
         .collect();
     assert_eq!(compacted, vec![3, 6]);
 
-    // Latency records are measured, not defaulted.
-    assert!(report.wall > std::time::Duration::ZERO);
-    assert!(report
-        .queries
-        .iter()
-        .all(|q| q.latency > std::time::Duration::ZERO));
-    assert!(report
-        .updates
-        .iter()
-        .all(|u| u.latency > std::time::Duration::ZERO));
-    assert!(
-        report.query_latencies().mean() >= report.queries.iter().map(|q| q.latency).min().unwrap()
-    );
+    // Service times are measured, not defaulted.
+    assert!(answers.iter().all(|r| r.service > Duration::ZERO));
 
     // The serving contract: each answer is exact for its recorded epoch.
-    // Epoch e is the base plus the first e batches.
-    for rec in &report.queries {
-        assert!(rec.epoch <= report.final_epoch);
-        let g = graph_after(&base, &workload.updates, rec.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, rec.node);
-        assert_eq!(
-            rec.top,
-            solo.top_k(TOP_K),
-            "epoch {} answer for u={} drifted from rebuild",
-            rec.epoch,
-            rec.node
-        );
-    }
+    assert_replays(&engine, &base, &workload, BATCH, TOP_K, &answers);
 }
 
 #[test]
@@ -121,33 +205,34 @@ fn sharded_serve_cuts_replay_to_exact_answers() {
     let base = simrank_suite::graph::gen::clustered_copying_web(n, SHARDS, 4, 0.7, 0.05, 17);
     let partitioner = RangePartitioner::new(n, SHARDS);
     let workload = sharded_workload(&base, &partitioner, 80, 10, 0.25, 0.2, 29);
-    let store = ShardedStore::with_compaction_threshold(&base, partitioner, 10);
+    let store = Arc::new(ShardedStore::with_compaction_threshold(
+        &base,
+        partitioner,
+        10,
+    ));
     let engine = SimPush::new(Config::new(0.05));
 
-    let report = serve_sharded(
-        &engine,
-        &store,
-        &workload.queries,
-        &workload.updates,
-        &ShardedServeOptions {
-            reader_threads: 2,
-            updates_per_batch: BATCH,
-            top_k: TOP_K,
-        },
-    );
+    let (commits, answers) = serve_while(&engine, &store, 2, TOP_K, &workload.queries, || {
+        lockstep_writers(&store, &workload.updates, BATCH)
+    });
 
     // Pinned shape: 80 updates / 16 per global batch = 5 cuts, one commit
     // record per (shard, batch), all effective.
-    assert_eq!(report.queries.len(), 10);
-    assert_eq!(report.final_cut, 5);
-    assert_eq!(report.shard_updates.len(), SHARDS * 5);
-    assert_eq!(report.effective_updates, 80);
-    for shard in 0..SHARDS {
-        let batches: Vec<usize> = report
-            .shard_updates
+    assert_eq!(answers.len(), 10);
+    assert_eq!(store.snapshot().cut(), 5);
+    assert_eq!(commits.len(), SHARDS * 5);
+    assert_eq!(
+        commits
             .iter()
-            .filter(|r| r.shard == shard)
-            .map(|r| r.batch)
+            .map(|&(_, _, applied)| applied)
+            .sum::<usize>(),
+        80
+    );
+    for shard in 0..SHARDS {
+        let batches: Vec<usize> = commits
+            .iter()
+            .filter(|&&(s, _, _)| s == shard)
+            .map(|&(_, batch, _)| batch)
             .collect();
         assert_eq!(batches, vec![0, 1, 2, 3, 4], "shard {shard} commit order");
     }
@@ -161,18 +246,7 @@ fn sharded_serve_cuts_replay_to_exact_answers() {
 
     // The consistent-cut contract: cut c is exactly the first c global
     // batches — every recorded answer must reproduce on that graph.
-    for rec in &report.queries {
-        assert!(rec.epoch <= report.final_cut, "cut from the future");
-        let g = graph_after(&base, &workload.updates, rec.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, rec.node);
-        assert_eq!(
-            rec.top,
-            solo.top_k(TOP_K),
-            "cut {} answer for u={} drifted from rebuild",
-            rec.epoch,
-            rec.node
-        );
-    }
+    assert_replays(&engine, &base, &workload, BATCH, TOP_K, &answers);
 }
 
 #[test]
@@ -221,7 +295,11 @@ fn frontend_answers_replay_bit_identically_on_their_epochs() {
                 .expect("submission failed")
         })
         .collect();
-    let outcomes: Vec<QueryOutcome> = tickets.into_iter().map(Ticket::wait).collect();
+    let answers: Vec<FrontendResponse> = tickets
+        .into_iter()
+        .zip(&workload.queries)
+        .map(|(ticket, &u)| answered(ticket.wait(), u))
+        .collect();
     writer.join().expect("writer panicked");
     let stats = frontend.shutdown();
     assert_eq!(stats.accepted, workload.queries.len() as u64);
@@ -231,24 +309,8 @@ fn frontend_answers_replay_bit_identically_on_their_epochs() {
         "no deadline ⇒ no misses"
     );
 
-    // Every answer reproduces from its recorded epoch: epoch e is the
-    // base plus the first e committed batches.
-    for (outcome, &u) in outcomes.iter().zip(&workload.queries) {
-        let QueryOutcome::Answered(r) = outcome else {
-            panic!("request {u} not answered");
-        };
-        assert_eq!(r.node, u);
-        assert!(r.epoch as usize <= workload.updates.len() / BATCH);
-        let g = graph_after(&base, &workload.updates, r.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, u);
-        assert_eq!(
-            r.top,
-            solo.top_k(TOP_K),
-            "epoch {} answer for u={} drifted from rebuild",
-            r.epoch,
-            u
-        );
-    }
+    // Every answer reproduces from its recorded epoch.
+    assert_replays(&engine, &base, &workload, BATCH, TOP_K, &answers);
     // The writer committed everything: final store state == full replay.
     assert_eq!(store.snapshot().to_csr(), workload.final_graph(&base));
 }
@@ -290,38 +352,21 @@ fn frontend_on_a_sharded_store_replays_cuts_identically() {
             }
         })
     };
-    let outcomes: Vec<QueryOutcome> = workload
+    let answers: Vec<FrontendResponse> = workload
         .queries
         .iter()
         .map(|&u| {
             std::thread::sleep(Duration::from_millis(1));
-            frontend
+            let ticket = frontend
                 .submit_timeout(u, Duration::from_secs(30))
-                .expect("submission failed")
-                .wait()
+                .expect("submission failed");
+            answered(ticket.wait(), u)
         })
         .collect();
     writer.join().expect("writer panicked");
     frontend.shutdown();
 
-    for (outcome, &u) in outcomes.iter().zip(&workload.queries) {
-        let QueryOutcome::Answered(r) = outcome else {
-            panic!("request {u} not answered");
-        };
-        assert!(
-            r.epoch as usize <= workload.updates.len() / BATCH,
-            "cut from the future"
-        );
-        let g = graph_after(&base, &workload.updates, r.epoch as usize * BATCH);
-        let solo = engine.query_seeded(&g, u);
-        assert_eq!(
-            r.top,
-            solo.top_k(2),
-            "cut {} answer for u={} drifted from rebuild",
-            r.epoch,
-            u
-        );
-    }
+    assert_replays(&engine, &base, &workload, BATCH, 2, &answers);
     assert_eq!(store.snapshot().to_csr(), workload.final_graph(&base));
 }
 
@@ -371,11 +416,7 @@ fn scenario_answers_replay_bit_identically_on_their_epochs() {
         let max_epoch = report.updates.len().div_ceil(report.updates_per_batch) as u64;
         for rec in &report.answers {
             assert!(rec.epoch <= max_epoch, "{name}: epoch from the future");
-            let g = graph_after(
-                &base,
-                &report.updates,
-                rec.epoch as usize * report.updates_per_batch,
-            );
+            let g = expected.graph_after(&base, rec.epoch as usize * report.updates_per_batch);
             let solo = engine.query_seeded(&g, rec.node);
             assert_eq!(
                 rec.top,
@@ -396,40 +437,34 @@ fn scenario_answers_replay_bit_identically_on_their_epochs() {
 
 #[test]
 fn sharded_and_unsharded_serving_agree_on_every_cut_boundary() {
-    // Drive the same workload through serve_mixed (single store) and
-    // serve_sharded (3 hash shards) with the same batch size: final
-    // graphs must be identical, and sequential re-commits of each batch
-    // must produce identical per-boundary graphs — the serving-level
-    // restatement of the prop_sharded bit-identity contract.
+    // Serve the same workload through a front-end over a single store
+    // (one committing writer) and over 3 hash shards (the lockstep
+    // writers) with the same batch size: every answer replays on its
+    // version, the final graphs are identical, and sequential re-commits
+    // of each batch produce identical per-boundary graphs — the
+    // serving-level restatement of the prop_sharded bit-identity
+    // contract.
     const BATCH: usize = 8;
     let base = simrank_suite::graph::gen::gnm(120, 600, 3);
     let workload = mixed_workload(&base, 48, 6, 0.35, 44);
     let engine = SimPush::new(Config::new(0.05));
 
-    let single = GraphStore::with_compaction_threshold(base.clone(), 12);
-    serve_mixed(
-        &engine,
-        &single,
-        &workload.queries,
-        &workload.updates,
-        &ServeOptions {
-            reader_threads: 2,
-            updates_per_batch: BATCH,
-            top_k: 1,
-        },
-    );
-    let sharded = ShardedStore::with_compaction_threshold(&base, HashPartitioner::new(3), 12);
-    serve_sharded(
-        &engine,
-        &sharded,
-        &workload.queries,
-        &workload.updates,
-        &ShardedServeOptions {
-            reader_threads: 2,
-            updates_per_batch: BATCH,
-            top_k: 1,
-        },
-    );
+    let single = Arc::new(GraphStore::with_compaction_threshold(base.clone(), 12));
+    let ((), answers) = serve_while(&engine, &single, 2, 1, &workload.queries, || {
+        for batch in workload.updates.chunks(BATCH) {
+            single.commit(batch);
+        }
+    });
+    assert_replays(&engine, &base, &workload, BATCH, 1, &answers);
+    let sharded = Arc::new(ShardedStore::with_compaction_threshold(
+        &base,
+        HashPartitioner::new(3),
+        12,
+    ));
+    let (_, answers) = serve_while(&engine, &sharded, 2, 1, &workload.queries, || {
+        lockstep_writers(&sharded, &workload.updates, BATCH)
+    });
+    assert_replays(&engine, &base, &workload, BATCH, 1, &answers);
     assert_eq!(single.snapshot().to_csr(), sharded.snapshot().to_csr());
 
     // Boundary-by-boundary agreement via sequential commits.

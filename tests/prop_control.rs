@@ -2,10 +2,10 @@
 //! is thrashed mid-flight, the *content* of every answer is untouchable.
 //!
 //! The dynamic-tuning API lets a controller retune deadline, admission
-//! quota, staleness bound and worker target while requests are in
-//! flight. Tuning may change **which** requests get answered (shed,
-//! deadline-missed, served by fewer workers) — it must never change
-//! **what** an answered request says. The first property drives a real
+//! quota and staleness bound while requests are in flight. Tuning may
+//! change **which** requests get answered (shed, deadline-missed) — it
+//! must never change **what** an answered request says. The first
+//! property drives a real
 //! [`Frontend`] under an arbitrary interleaving of edge updates,
 //! publishes, tuning swaps and submissions, then replays every answered
 //! `(node, epoch)` against a from-scratch rebuild of that epoch's graph
