@@ -11,11 +11,10 @@
 //!   queue, and p99 collapses to `queue_capacity × mean_service /
 //!   workers` — far past any interactive SLO.
 //! * **controlled** — a [`Controller`] thread samples the front-end's
-//!   per-interval sojourn/latency histograms every tick and actuates the
-//!   live [`simpush::TuningHandle`]: CoDel-style deadline backoff, a queue-depth
-//!   driven admission quota and widened answer-cache staleness. Overload
-//!   is shed at admission and at dequeue, so the requests that *are*
-//!   answered keep their latency budget.
+//!   per-interval sojourn histogram and queue depth every tick and sets
+//!   the live [`simpush::AdmissionQuota`] CoDel-style, shrinking it toward
+//!   the observed backlog. Overload is shed at admission, so the requests
+//!   that *are* answered keep their latency budget.
 //!
 //! One row per segment puts both sides next to each other, and the typed
 //! reports are judged in place (`ramp_violations`): on every `ramp`
@@ -32,7 +31,7 @@
 //! query became ≈25× cheaper than the tail the SLO is anchored on
 //! (ROADMAP open items).
 //!
-//! Answers stay replayable under every tuning schedule: each response
+//! Answers stay replayable under every quota schedule: each response
 //! records its epoch, and a sample of answers is re-checked against a
 //! cold rebuild of that epoch's graph before anything is judged
 //! (`tests/prop_control.rs` pins the same property under adversarial
@@ -193,7 +192,7 @@ fn run_ramp(
             .build(),
     );
     let controller = controller_opts
-        .map(|opts| Controller::start(frontend.observer(), frontend.tuning_handle(), opts));
+        .map(|opts| Controller::start(frontend.observer(), frontend.admission_quota(), opts));
 
     // One writer paces the whole update stream across the expected span of
     // the full ramp, so epochs advance under live traffic in every segment.
@@ -239,7 +238,7 @@ fn run_ramp(
                         top: r.top,
                     });
                 }
-                QueryOutcome::DeadlineMissed { .. } | QueryOutcome::Cancelled { .. } => {}
+                QueryOutcome::DeadlineMissed { .. } => {}
                 QueryOutcome::Failed { node } => panic!("worker failed serving node {node}"),
             }
         }
@@ -275,7 +274,7 @@ fn run_ramp(
 
     // Replay spot-check: a spread of answered records must reproduce bit
     // for bit from a cold rebuild of their epoch's graph, no matter what
-    // tuning schedule was live when they were answered.
+    // quota was live when they were answered.
     let step = (replays.len() / REPLAY_SAMPLES).max(1);
     for rec in replays.iter().step_by(step) {
         let g = workload.graph_after(base, rec.epoch as usize * scale.updates_per_batch);
@@ -483,11 +482,6 @@ fn main() -> ExitCode {
     let controller_opts = ControllerOptions {
         tick: scale.tick,
         target_sojourn: mean_service * 2,
-        slo_p99,
-        min_deadline: mean_service * 2,
-        max_deadline: static_deadline,
-        quota_floor: 1,
-        stale_bound: 8,
         overload_ticks: 2,
         calm_ticks: 5,
         cooldown_ticks: 2,
@@ -608,7 +602,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simpush::{ActiveTuning, ControlReason, ControlRecord, TickObservation};
+    use simpush::{ControlReason, ControlRecord, TickObservation};
 
     const SLO: Duration = Duration::from_micros(100);
 
@@ -640,18 +634,9 @@ mod tests {
             tick,
             observation: TickObservation {
                 sojourn_p99: None,
-                latency_p99: None,
                 queue_depth: 0,
-                accepted: 0,
-                rejected: 0,
-                answered: 0,
-                deadline_misses: 0,
             },
-            applied: ActiveTuning {
-                deadline: None,
-                admission_quota: None,
-                max_stale_epochs: 0,
-            },
+            quota: Some(1),
             reason: ControlReason::Tighten,
         };
         ControlLog {

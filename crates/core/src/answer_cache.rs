@@ -173,10 +173,7 @@ struct Shard {
 pub struct AnswerCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    /// Live staleness bound: readable/settable at runtime so the elastic
-    /// control plane (`simpush::control`) can widen or tighten it under
-    /// load without rebuilding the cache.
-    max_stale_epochs: AtomicU64,
+    max_stale_epochs: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -229,35 +226,13 @@ impl AnswerCache {
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity: opts.capacity.div_ceil(shards),
-            max_stale_epochs: AtomicU64::new(opts.max_stale_epochs),
+            max_stale_epochs: opts.max_stale_epochs,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
-    }
-
-    /// The current staleness bound (a live knob; see
-    /// [`AnswerCache::set_max_stale_epochs`]).
-    pub fn max_stale_epochs(&self) -> u64 {
-        // relaxed: advisory read of a standalone tuning knob; no other
-        // memory is published through it.
-        self.max_stale_epochs.load(Ordering::Relaxed)
-    }
-
-    /// Retunes the staleness bound at runtime.
-    ///
-    /// Takes effect on subsequent [`AnswerCache::lookup`] and
-    /// [`AnswerCache::on_publish`] calls; in-flight calls may still use
-    /// the previous bound. **Widening** the bound never breaks the replay
-    /// contract — a stale hit still advertises its `computed_epoch`, and
-    /// replaying that epoch reproduces the answer bit for bit.
-    /// **Tightening** it lets the next `on_publish` drop entries that the
-    /// old bound would have kept.
-    pub fn set_max_stale_epochs(&self, bound: u64) {
-        // relaxed: standalone tuning knob, see `max_stale_epochs()`.
-        self.max_stale_epochs.store(bound, Ordering::Relaxed);
     }
 
     /// Entries currently cached (sums shard sizes; exact only at
@@ -292,8 +267,7 @@ impl AnswerCache {
             .as_mut()
             .expect("map points at a live slot");
         let stale_by = epoch.saturating_sub(entry.valid_epoch);
-        // relaxed: advisory read of the live tuning knob.
-        if stale_by <= self.max_stale_epochs.load(Ordering::Relaxed) {
+        if stale_by <= self.max_stale_epochs {
             entry.referenced = true;
             let hit = CacheHit {
                 computed_epoch: entry.computed_epoch,
@@ -416,8 +390,7 @@ impl AnswerCache {
                 }
                 // Invalidated now, or left behind by an earlier publish:
                 // keep serving stale within the bound, drop past it.
-                // relaxed: advisory read of the live tuning knob.
-                if epoch - entry.valid_epoch > self.max_stale_epochs.load(Ordering::Relaxed) {
+                if epoch - entry.valid_epoch > self.max_stale_epochs {
                     let key = entry.key;
                     shard.slots[idx] = None;
                     shard.map.remove(&key);

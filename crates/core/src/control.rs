@@ -1,23 +1,19 @@
-//! Elastic serving control plane: live tuning + closed-loop SLO
-//! controller.
+//! Elastic serving control plane: a live admission quota + the
+//! closed-loop SLO controller that actuates it.
 //!
-//! The [`Frontend`](crate::Frontend) used to freeze every serving knob at
-//! construction time — admission limit, deadline, the answer cache's
-//! staleness bound. This module makes those knobs **live** (the worker
-//! pool stays fixed: an idle worker blocked in `recv` costs nothing):
+//! The [`Frontend`](crate::Frontend) fixes its worker pool, deadline and
+//! cache staleness bound at construction. One knob is **live**:
 //!
-//! * [`ActiveTuning`] is the set of runtime knobs, published through a
-//!   [`TuningHandle`] as an atomically swappable `Arc`. Every submission
-//!   reads the *current* tuning once (one mutex-guarded `Arc` clone) and
-//!   the staleness bound is pushed into the cache at swap, so a
-//!   [`TuningHandle::swap`] takes effect on the very next request without
-//!   restarting the front-end.
-//! * [`Controller`] is the closed loop: a thread that samples the
-//!   front-end's counters and per-interval sojourn/latency histograms
-//!   (via [`FrontendObserver`]) at a
-//!   fixed tick and actuates the tuning. The policy lives in the **pure**
-//!   [`step`] function so tests can drive it with synthetic observation
-//!   streams and assert the exact actuation sequence.
+//! * [`AdmissionQuota`] caps the queue depth a submission may find before
+//!   it is shed, *below* the channel's capacity. Every submission reads it
+//!   with one relaxed atomic load, so a [`AdmissionQuota::set`] takes
+//!   effect on the very next request without restarting the front-end.
+//! * [`Controller`] is the closed loop: a thread that drains the
+//!   front-end's per-interval sojourn histogram and reads its queue-depth
+//!   gauge (via [`FrontendObserver`]) at a fixed tick and sets the quota.
+//!   The policy lives in the **pure** [`step`] function so tests can drive
+//!   it with synthetic observation streams and assert the exact actuation
+//!   sequence.
 //!
 //! # Policy (CoDel-style)
 //!
@@ -26,17 +22,12 @@
 //!
 //! * sojourn above [`ControllerOptions::target_sojourn`] for
 //!   [`overload_ticks`](ControllerOptions::overload_ticks) consecutive
-//!   ticks ⇒ **tighten**: the deadline drops along the CoDel control law
-//!   `base / √(k+1)` for the `k`-th consecutive tightening, the admission
-//!   quota shrinks multiplicatively from the observed queue depth, the
-//!   cache staleness bound widens one epoch (serving slightly-old answers
-//!   beats serving none).
+//!   ticks ⇒ **tighten**: the quota shrinks to ¾ of the smaller of itself
+//!   and the observed queue depth, never below 1.
 //! * sojourn below half the target for
 //!   [`calm_ticks`](ControllerOptions::calm_ticks) consecutive ticks ⇒
-//!   **relax**: one backoff level is undone, the quota grows
-//!   multiplicatively (fully reopening once it reaches the queue
-//!   capacity), and the staleness bound narrows back toward its
-//!   configured baseline.
+//!   **relax**: the quota grows to `q + q/2 + 1`, fully reopening once it
+//!   reaches the queue capacity.
 //!
 //! Between those two bands nothing happens — that dead zone, the
 //! consecutive-tick streaks (a single noisy tick resets them), and a
@@ -44,108 +35,63 @@
 //! are the hysteresis that keeps the controller from oscillating
 //! (pinned by the unit tests below).
 //!
-//! Every actuation is appended to a [`ControlLog`] with the observation
-//! that triggered it, so a run's control decisions can be replayed and
+//! Every actuation is appended to a [`ControlLog`] with the two inputs
+//! the decision read, so a run's control decisions can be replayed and
 //! audited offline (`elastic_serve` prints and judges the summary).
 
-use crate::answer_cache::AnswerCache;
 use crate::frontend::FrontendObserver;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The runtime-tunable serving knobs, swapped as one atomic unit.
+/// The live admission quota shared by a front-end's submit path and its
+/// [`Controller`].
 ///
-/// Constructed initially by [`Frontend::start`](crate::Frontend::start)
-/// from the static options, then re-published by the [`Controller`] (or
-/// by hand through [`TuningHandle::swap`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ActiveTuning {
-    /// Deadline applied to requests submitted without an explicit one;
-    /// `None` means such requests never expire.
-    pub deadline: Option<Duration>,
-    /// Admission quota: submissions are shed (`Overloaded`) once the
-    /// queue-depth gauge exceeds this, *before* touching the channel.
-    /// `None` disables the quota — the bounded channel's capacity is then
-    /// the only admission limit (the static front-end's behaviour).
-    pub admission_quota: Option<usize>,
-    /// Staleness bound pushed through to the attached
-    /// [`AnswerCache`] on every swap.
-    pub max_stale_epochs: u64,
-}
-
-/// The atomically-swappable publication point for [`ActiveTuning`].
-///
-/// One handle is shared by the front-end's submit path and the
-/// [`Controller`]; [`load`](Self::load) is a mutex-guarded `Arc` clone.
+/// Once the queue-depth gauge exceeds the quota, submissions are shed
+/// (`Overloaded`) *before* touching the channel. `None` — the state at
+/// [`Frontend::start`](crate::Frontend::start) — disables it: the bounded
+/// channel's capacity is then the only admission limit. A set quota is
+/// always in `[1, queue_capacity]`.
 #[derive(Debug)]
-pub struct TuningHandle {
-    current: Mutex<Arc<ActiveTuning>>,
-    cache: Option<Arc<AnswerCache>>,
-    /// Admission-queue capacity, fixed at
-    /// [`Frontend::start`](crate::Frontend::start): the ceiling every
-    /// swapped [`ActiveTuning::admission_quota`] is clamped against.
+pub struct AdmissionQuota {
+    /// The quota, or 0 for none (0 is never a legal quota).
+    quota: AtomicUsize,
     queue_capacity: usize,
 }
 
-impl TuningHandle {
-    /// Builds a handle whose first published tuning is `initial` (its
-    /// quota clamped against `queue_capacity`); `cache` — when the
-    /// front-end has one — receives every future `max_stale_epochs`
-    /// actuation.
+impl AdmissionQuota {
+    /// No quota, under an admission queue of `queue_capacity` slots.
     ///
     /// # Panics
     /// Panics if `queue_capacity` is 0.
-    pub fn new(
-        initial: ActiveTuning,
-        queue_capacity: usize,
-        cache: Option<Arc<AnswerCache>>,
-    ) -> Self {
+    pub fn new(queue_capacity: usize) -> Self {
         assert!(queue_capacity >= 1, "admission queue capacity must be ≥ 1");
-        let initial = clamp_tuning(initial, queue_capacity);
-        if let Some(cache) = cache.as_deref() {
-            cache.set_max_stale_epochs(initial.max_stale_epochs);
-        }
         Self {
-            current: Mutex::new(Arc::new(initial)),
-            cache,
+            quota: AtomicUsize::new(0),
             queue_capacity,
         }
     }
 
-    /// The admission-queue capacity swapped quotas are clamped against.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
-    /// The currently published tuning.
-    pub fn load(&self) -> Arc<ActiveTuning> {
-        self.current
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
-    /// Publishes a new tuning (quota clamped against the queue capacity),
-    /// pushes the staleness bound into the attached cache, and returns
-    /// what was actually applied.
-    ///
-    /// Takes effect on the next request each worker/submitter processes;
-    /// requests already past their tuning read keep the old values.
-    pub fn swap(&self, tuning: ActiveTuning) -> Arc<ActiveTuning> {
-        let applied = Arc::new(clamp_tuning(tuning, self.queue_capacity));
-        if let Some(cache) = self.cache.as_deref() {
-            cache.set_max_stale_epochs(applied.max_stale_epochs);
+    /// The current quota.
+    pub fn get(&self) -> Option<usize> {
+        // relaxed: a standalone knob, no other memory is published through
+        // it — a submission racing a `set` sheds against the old or the
+        // new quota, and both are legal.
+        match self.quota.load(Ordering::Relaxed) {
+            0 => None,
+            q => Some(q),
         }
-        *self.current.lock().unwrap_or_else(|p| p.into_inner()) = applied.clone();
+    }
+
+    /// Publishes a new quota, clamped to `[1, queue_capacity]`, and
+    /// returns what was applied. Takes effect on the next submission.
+    pub fn set(&self, quota: Option<usize>) -> Option<usize> {
+        let applied = quota.map(|q| q.clamp(1, self.queue_capacity));
+        // relaxed: standalone knob, see `get`.
+        self.quota.store(applied.unwrap_or(0), Ordering::Relaxed);
         applied
     }
-}
-
-fn clamp_tuning(mut t: ActiveTuning, queue_capacity: usize) -> ActiveTuning {
-    t.admission_quota = t.admission_quota.map(|q| q.clamp(1, queue_capacity));
-    t
 }
 
 /// Number of power-of-two latency buckets: bucket `i` counts durations in
@@ -154,8 +100,8 @@ pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A lock-free, drainable log₂ latency histogram.
 ///
-/// Workers [`record`](Self::record) into it on the hot path (one relaxed
-/// `fetch_add` per sample); the controller [`drain`](Self::drain)s it
+/// Workers [`record`](Self::record) into it on the hot path (two relaxed
+/// `fetch_add`s per sample); the controller [`drain`](Self::drain)s it
 /// once per tick, turning the interval's samples into a
 /// [`HistogramSnapshot`] and resetting the buckets to zero. Power-of-two
 /// buckets make a percentile estimate at worst a factor of 2 off — far
@@ -164,7 +110,6 @@ pub const HISTOGRAM_BUCKETS: usize = 40;
 pub struct IntervalHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
-    sum_micros: AtomicU64,
 }
 
 impl Default for IntervalHistogram {
@@ -172,7 +117,6 @@ impl Default for IntervalHistogram {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            sum_micros: AtomicU64::new(0),
         }
     }
 }
@@ -192,7 +136,6 @@ impl IntervalHistogram {
         // is advisory, nothing synchronizes on these values.
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
     }
 
     /// Takes the interval's samples and resets the histogram.
@@ -207,8 +150,6 @@ impl IntervalHistogram {
             counts: std::array::from_fn(|i| self.buckets[i].swap(0, Ordering::Relaxed)),
             // relaxed: advisory telemetry drain, see above.
             count: self.count.swap(0, Ordering::Relaxed),
-            // relaxed: advisory telemetry drain, see above.
-            sum_micros: self.sum_micros.swap(0, Ordering::Relaxed),
         }
     }
 }
@@ -220,26 +161,9 @@ pub struct HistogramSnapshot {
     pub counts: [u64; HISTOGRAM_BUCKETS],
     /// Total samples in the interval.
     pub count: u64,
-    /// Sum of all samples, in µs.
-    pub sum_micros: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        Self {
-            counts: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum_micros: 0,
-        }
-    }
 }
 
 impl HistogramSnapshot {
-    /// True when the interval recorded no samples.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Nearest-rank percentile estimate, reported as the **upper bound**
     /// of the bucket the rank lands in (conservative: never understates).
     /// `None` on an empty interval, same contract as
@@ -267,36 +191,17 @@ impl HistogramSnapshot {
         let top = self.counts.iter().rposition(|&c| c > 0)?;
         Some(Duration::from_micros(1u64 << (top + 1)))
     }
-
-    /// Mean of the interval's samples; `Duration::ZERO` when empty.
-    pub fn mean(&self) -> Duration {
-        self.sum_micros
-            .checked_div(self.count)
-            .map_or(Duration::ZERO, Duration::from_micros)
-    }
 }
 
 /// Knobs for the [`Controller`]. The defaults are placeholders for toy
-/// runs; real deployments derive `target_sojourn`/`slo_p99` from a
-/// calibrated mean service time the way `elastic_serve` does.
+/// runs; real deployments derive `target_sojourn` from a calibrated mean
+/// service time the way `elastic_serve` does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControllerOptions {
     /// Sampling/actuation interval of the controller thread.
     pub tick: Duration,
     /// CoDel target: p99 sojourn above this reads as overload.
     pub target_sojourn: Duration,
-    /// The p99 end-to-end latency objective the controller defends
-    /// (recorded in the log; the sojourn target is the actuation signal).
-    pub slo_p99: Duration,
-    /// Floor the CoDel backoff never tightens the deadline below.
-    pub min_deadline: Duration,
-    /// Ceiling the relax path never raises the deadline above; also the
-    /// backoff base when the front-end started with no deadline.
-    pub max_deadline: Duration,
-    /// Floor for the admission quota (≥ 1).
-    pub quota_floor: usize,
-    /// Ceiling for cache-staleness widening under overload.
-    pub stale_bound: u64,
     /// Consecutive overloaded ticks required before tightening.
     pub overload_ticks: u32,
     /// Consecutive calm ticks required before relaxing.
@@ -310,11 +215,6 @@ impl Default for ControllerOptions {
         Self {
             tick: Duration::from_millis(100),
             target_sojourn: Duration::from_millis(10),
-            slo_p99: Duration::from_millis(50),
-            min_deadline: Duration::from_millis(1),
-            max_deadline: Duration::from_secs(1),
-            quota_floor: 1,
-            stale_bound: 8,
             overload_ticks: 2,
             calm_ticks: 5,
             cooldown_ticks: 2,
@@ -322,38 +222,27 @@ impl Default for ControllerOptions {
     }
 }
 
-/// What the controller saw in one tick — counter deltas plus the drained
-/// interval histograms' percentiles. Pure data, so tests synthesize
-/// streams of these and feed them to [`step`].
+/// What the controller saw in one tick: exactly the two inputs [`step`]
+/// reads. Pure data, so tests synthesize streams of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TickObservation {
     /// p99 of the sojourn (queue wait at dequeue) histogram this tick;
     /// `None` when nothing was dequeued.
     pub sojourn_p99: Option<Duration>,
-    /// p99 of the end-to-end (wait + service) histogram this tick.
-    pub latency_p99: Option<Duration>,
     /// Queue-depth gauge at sample time.
     pub queue_depth: usize,
-    /// Requests accepted during the tick.
-    pub accepted: u64,
-    /// Submissions rejected during the tick.
-    pub rejected: u64,
-    /// Requests answered during the tick.
-    pub answered: u64,
-    /// Deadline misses during the tick.
-    pub deadline_misses: u64,
 }
 
-/// Which way an actuation moved the tuning.
+/// Which way an actuation moved the quota.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlReason {
-    /// Overload: deadline tightened, quota shrunk, staleness widened.
+    /// Overload: the quota shrank.
     Tighten,
-    /// Sustained calm: one backoff level undone, quota regrown.
+    /// Sustained calm: the quota grew (or reopened).
     Relax,
 }
 
-/// One actuation: the tick it fired on, what was observed, and the tuning
+/// One actuation: the tick it fired on, what was observed, and the quota
 /// that was applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlRecord {
@@ -361,8 +250,8 @@ pub struct ControlRecord {
     pub tick: u64,
     /// The observation that triggered it.
     pub observation: TickObservation,
-    /// The tuning as applied (post-clamping).
-    pub applied: ActiveTuning,
+    /// The quota as applied (`None`: reopened to the channel capacity).
+    pub quota: Option<usize>,
     /// Tighten or relax.
     pub reason: ControlReason,
 }
@@ -399,54 +288,36 @@ impl ControlLog {
 /// which is what makes the policy replay-deterministic.
 #[derive(Debug, Clone)]
 pub struct ControlState {
-    tuning: ActiveTuning,
+    quota: Option<usize>,
     queue_capacity: usize,
-    /// CoDel backoff level `k`: the deadline sits at `base / √(k+1)`.
-    tighten_level: u32,
     overload_streak: u32,
     calm_streak: u32,
     cooldown: u32,
-    base_deadline: Duration,
-    baseline_stale: u64,
 }
 
 impl ControlState {
-    /// Starts from the tuning currently published (pre-clamped by the
-    /// handle) under the front-end's admission-queue capacity.
-    pub fn new(initial: ActiveTuning, queue_capacity: usize, opts: &ControllerOptions) -> Self {
-        let base_deadline = initial
-            .deadline
-            .unwrap_or(opts.max_deadline)
-            .clamp(opts.min_deadline, opts.max_deadline);
+    /// Starts from the quota currently applied under the front-end's
+    /// admission-queue capacity.
+    pub fn new(quota: Option<usize>, queue_capacity: usize) -> Self {
         Self {
-            baseline_stale: initial.max_stale_epochs,
-            tuning: initial,
+            quota,
             queue_capacity,
-            tighten_level: 0,
             overload_streak: 0,
             calm_streak: 0,
             cooldown: 0,
-            base_deadline,
         }
     }
 
-    /// The tuning the state believes is currently applied.
-    pub fn tuning(&self) -> &ActiveTuning {
-        &self.tuning
+    /// The quota the state believes is currently applied.
+    pub fn quota(&self) -> Option<usize> {
+        self.quota
     }
-}
-
-/// Deadline given the CoDel backoff level: `base / √(k+1)`, clamped.
-fn codel_deadline(state: &ControlState, opts: &ControllerOptions) -> Duration {
-    let scaled = state
-        .base_deadline
-        .div_f64((state.tighten_level as f64 + 1.0).sqrt());
-    scaled.clamp(opts.min_deadline, opts.max_deadline)
 }
 
 /// One pure decision step: classifies the observation, advances the
 /// hysteresis streaks, and — when a streak crosses its threshold outside
-/// the cooldown window — produces the next [`ActiveTuning`].
+/// the cooldown window and the quota would move — produces the next
+/// quota.
 ///
 /// Deterministic by construction (no clocks, no randomness): the same
 /// `(state, observations)` stream always yields the same actuation
@@ -455,7 +326,7 @@ pub fn step(
     state: &mut ControlState,
     obs: &TickObservation,
     opts: &ControllerOptions,
-) -> Option<(ActiveTuning, ControlReason)> {
+) -> Option<(Option<usize>, ControlReason)> {
     let overloaded = obs.sojourn_p99.is_some_and(|p| p > opts.target_sojourn);
     // Calm means comfortably under target — or a genuinely idle tick.
     let calm = match obs.sojourn_p99 {
@@ -481,64 +352,29 @@ pub fn step(
     }
 
     let cap = state.queue_capacity;
-    if state.overload_streak >= opts.overload_ticks {
+    let (next, reason) = if state.overload_streak >= opts.overload_ticks {
         state.overload_streak = 0;
-        state.cooldown = opts.cooldown_ticks;
-        state.tighten_level = state.tighten_level.saturating_add(1);
-        let quota = state.tuning.admission_quota.unwrap_or(cap);
         // Shrink from the *observed* backlog when it is the binding
         // constraint, else multiplicatively from the current quota.
-        let pressure = quota.min(obs.queue_depth.max(1));
-        let next = ActiveTuning {
-            deadline: Some(codel_deadline(state, opts)),
-            admission_quota: Some((pressure * 3 / 4).max(opts.quota_floor.max(1))),
-            max_stale_epochs: (state.tuning.max_stale_epochs + 1).min(opts.stale_bound),
-        };
-        if next != state.tuning {
-            state.tuning = next.clone();
-            return Some((next, ControlReason::Tighten));
-        }
-        return None;
-    }
-    if state.calm_streak >= opts.calm_ticks {
+        let pressure = state.quota.unwrap_or(cap).min(obs.queue_depth.max(1));
+        (Some((pressure * 3 / 4).max(1)), ControlReason::Tighten)
+    } else if state.calm_streak >= opts.calm_ticks {
         state.calm_streak = 0;
-        state.cooldown = opts.cooldown_ticks;
-        state.tighten_level = state.tighten_level.saturating_sub(1);
-        let deadline = if state.tighten_level == 0 {
-            // Fully relaxed: restore the configured deadline (which may
-            // be "none at all").
-            if state.base_deadline >= opts.max_deadline {
-                None
-            } else {
-                Some(state.base_deadline)
-            }
-        } else {
-            Some(codel_deadline(state, opts))
-        };
-        let quota = match state.tuning.admission_quota {
-            // Multiplicative growth; reaching capacity reopens fully.
-            Some(q) => {
-                let grown = (q + q / 2 + 1).min(cap);
-                (grown < cap).then_some(grown)
-            }
-            None => None,
-        };
-        let next = ActiveTuning {
-            deadline,
-            admission_quota: quota,
-            max_stale_epochs: state
-                .tuning
-                .max_stale_epochs
-                .saturating_sub(1)
-                .max(state.baseline_stale),
-        };
-        if next != state.tuning {
-            state.tuning = next.clone();
-            return Some((next, ControlReason::Relax));
-        }
+        // Multiplicative growth; reaching capacity reopens fully.
+        let next = state.quota.and_then(|q| {
+            let grown = (q + q / 2 + 1).min(cap);
+            (grown < cap).then_some(grown)
+        });
+        (next, ControlReason::Relax)
+    } else {
+        return None;
+    };
+    state.cooldown = opts.cooldown_ticks;
+    if next == state.quota {
         return None;
     }
-    None
+    state.quota = next;
+    Some((next, reason))
 }
 
 /// The closed-loop controller thread. See the [module docs](self).
@@ -550,50 +386,41 @@ pub struct Controller {
 
 impl Controller {
     /// Starts the control loop: every `opts.tick` it samples `observer`
-    /// (counter deltas + drained interval histograms), runs [`step`], and
-    /// applies any resulting tuning through `tuning`.
+    /// (queue depth + drained sojourn histogram), runs [`step`], and sets
+    /// any resulting quota through `quota`.
     ///
-    /// The observer and handle should come from the same front-end
+    /// The observer and quota should come from the same front-end
     /// ([`Frontend::observer`](crate::Frontend::observer) /
-    /// [`Frontend::tuning_handle`](crate::Frontend::tuning_handle)); stop
-    /// the controller before shutting the front-end down so the last
+    /// [`Frontend::admission_quota`](crate::Frontend::admission_quota));
+    /// stop the controller before shutting the front-end down so the last
     /// decisions land in the log.
     pub fn start(
         observer: FrontendObserver,
-        tuning: Arc<TuningHandle>,
+        quota: Arc<AdmissionQuota>,
         opts: ControllerOptions,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
         let handle = std::thread::spawn(move || {
             let mut log = ControlLog::default();
-            let mut state =
-                ControlState::new((*tuning.load()).clone(), tuning.queue_capacity(), &opts);
-            let mut prev = observer.stats();
+            let mut state = ControlState::new(quota.get(), quota.queue_capacity);
             // relaxed: advisory stop flag — one extra tick after the
             // store is harmless.
             while !stop_flag.load(Ordering::Relaxed) {
                 std::thread::sleep(opts.tick);
                 let sample = observer.sample();
-                let stats = sample.stats;
                 let obs = TickObservation {
                     sojourn_p99: sample.sojourn.percentile(99),
-                    latency_p99: sample.latency.percentile(99),
-                    queue_depth: stats.queue_depth,
-                    accepted: stats.accepted - prev.accepted,
-                    rejected: stats.rejected - prev.rejected,
-                    answered: stats.answered - prev.answered,
-                    deadline_misses: stats.deadline_misses - prev.deadline_misses,
+                    queue_depth: sample.queue_depth,
                 };
-                prev = stats;
                 log.ticks += 1;
                 if let Some((next, reason)) = step(&mut state, &obs, &opts) {
-                    let applied = tuning.swap(next);
-                    state.tuning = (*applied).clone();
+                    let applied = quota.set(next);
+                    state.quota = applied;
                     log.records.push(ControlRecord {
                         tick: log.ticks,
                         observation: obs,
-                        applied: (*applied).clone(),
+                        quota: applied,
                         reason,
                     });
                 }
@@ -654,108 +481,76 @@ mod tests {
         ControllerOptions {
             tick: ms(10),
             target_sojourn: ms(10),
-            slo_p99: ms(40),
-            min_deadline: ms(2),
-            max_deadline: ms(400),
-            quota_floor: 2,
-            stale_bound: 4,
             overload_ticks: 2,
             calm_ticks: 3,
             cooldown_ticks: 1,
         }
     }
 
-    fn initial() -> ActiveTuning {
-        ActiveTuning {
-            deadline: Some(ms(200)),
-            admission_quota: None,
-            max_stale_epochs: 0,
-        }
-    }
-
     fn hot(depth: usize) -> TickObservation {
         TickObservation {
             sojourn_p99: Some(ms(50)),
-            latency_p99: Some(ms(80)),
             queue_depth: depth,
-            accepted: 100,
-            rejected: 0,
-            answered: 90,
-            deadline_misses: 0,
         }
     }
 
     fn cool() -> TickObservation {
         TickObservation {
             sojourn_p99: Some(ms(2)),
-            latency_p99: Some(ms(4)),
             queue_depth: 0,
-            accepted: 20,
-            rejected: 0,
-            answered: 20,
-            deadline_misses: 0,
         }
     }
 
     fn idle() -> TickObservation {
         TickObservation {
             sojourn_p99: None,
-            latency_p99: None,
             queue_depth: 0,
-            accepted: 0,
-            rejected: 0,
-            answered: 0,
-            deadline_misses: 0,
         }
     }
 
     #[test]
-    fn sustained_overload_tightens_on_the_exact_tick_and_backs_off_sqrt() {
+    fn sustained_overload_tightens_on_the_exact_tick() {
         let o = opts();
-        let mut state = ControlState::new(initial(), CAPACITY, &o);
+        let mut state = ControlState::new(None, CAPACITY);
         // Tick 1: streak 1 — no actuation yet (deadband).
         assert_eq!(step(&mut state, &hot(60), &o), None);
-        // Tick 2: streak reaches overload_ticks — first tighten.
-        let (t1, r1) = step(&mut state, &hot(60), &o).expect("tighten on tick 2");
-        assert_eq!(r1, ControlReason::Tighten);
-        // base 200 ms / √2 ≈ 141.4 ms.
-        let d1 = t1.deadline.unwrap();
-        assert!(d1 < ms(200) && d1 > ms(100), "√2 backoff, got {d1:?}");
-        // Quota engages from the observed depth: 60 * 3/4 = 45.
-        assert_eq!(t1.admission_quota, Some(45));
-        assert_eq!(t1.max_stale_epochs, 1);
+        // Tick 2: streak reaches overload_ticks — first tighten. The quota
+        // engages from the observed depth: 60 * 3/4 = 45.
+        assert_eq!(
+            step(&mut state, &hot(60), &o),
+            Some((Some(45), ControlReason::Tighten))
+        );
         // Tick 3: cooldown absorbs the actuation (the streak still
         // counts underneath it).
         assert_eq!(step(&mut state, &hot(60), &o), None);
         // Tick 4: streak ≥ 2 again and the cooldown expired — second
-        // tighten, one level deeper (√3).
-        let (t2, _) = step(&mut state, &hot(60), &o).expect("second tighten");
-        assert!(t2.deadline.unwrap() < d1, "backoff is monotone under load");
-        assert_eq!(t2.admission_quota, Some(33), "45.min(60) * 3/4");
-        assert_eq!(t2.max_stale_epochs, 2);
+        // tighten, from the smaller of quota and depth.
+        assert_eq!(
+            step(&mut state, &hot(60), &o),
+            Some((Some(33), ControlReason::Tighten)),
+            "45.min(60) * 3/4"
+        );
     }
 
     #[test]
     fn sustained_calm_relaxes_back_to_the_configured_tuning() {
         let o = opts();
-        let mut state = ControlState::new(initial(), CAPACITY, &o);
-        // Drive into a tightened regime first.
-        for _ in 0..2 {
+        let mut state = ControlState::new(None, CAPACITY);
+        // Drive into a tightened regime first: 45, then 33.
+        for _ in 0..4 {
             step(&mut state, &hot(60), &o);
         }
-        assert!(state.tuning().admission_quota.is_some());
+        assert_eq!(state.quota(), Some(33));
         // Calm ticks: threshold 3, then cooldown 1 between actuations.
         let mut relaxed = Vec::new();
         for _ in 0..20 {
-            if let Some((t, r)) = step(&mut state, &cool(), &o) {
+            if let Some((q, r)) = step(&mut state, &cool(), &o) {
                 assert_eq!(r, ControlReason::Relax);
-                relaxed.push(t);
+                relaxed.push(q);
             }
         }
-        let last = relaxed.last().expect("calm stream must relax");
-        assert_eq!(last.deadline, Some(ms(200)), "deadline restored to base");
-        assert_eq!(last.admission_quota, None, "quota fully reopened");
-        assert_eq!(last.max_stale_epochs, 0, "staleness back to baseline");
+        // 33 + 16 + 1 = 50; 50 + 25 + 1 ≥ 64 reopens fully.
+        assert_eq!(relaxed, [Some(50), None]);
         // Once fully relaxed, further calm produces no actuations.
         for _ in 0..10 {
             assert_eq!(step(&mut state, &cool(), &o), None);
@@ -768,18 +563,18 @@ mod tests {
         // resetting both streaks (each needs ≥ 2 consecutive), so the
         // controller must not actuate even once.
         let o = opts();
-        let mut state = ControlState::new(initial(), CAPACITY, &o);
+        let mut state = ControlState::new(None, CAPACITY);
         for i in 0..200 {
             let obs = if i % 2 == 0 { hot(60) } else { cool() };
             assert_eq!(step(&mut state, &obs, &o), None, "oscillated at tick {i}");
         }
-        assert_eq!(state.tuning(), &initial());
+        assert_eq!(state.quota(), None);
     }
 
     #[test]
     fn dead_zone_between_bands_resets_both_streaks() {
         let o = opts();
-        let mut state = ControlState::new(initial(), CAPACITY, &o);
+        let mut state = ControlState::new(None, CAPACITY);
         // Sojourn between target/2 and target: neither hot nor calm.
         let neutral = TickObservation {
             sojourn_p99: Some(ms(7)),
@@ -790,7 +585,7 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(step(&mut state, &neutral, &o), None);
         }
-        assert_eq!(state.tuning(), &initial());
+        assert_eq!(state.quota(), None);
     }
 
     #[test]
@@ -804,7 +599,7 @@ mod tests {
             })
             .collect();
         let run = |stream: &[TickObservation]| {
-            let mut state = ControlState::new(initial(), CAPACITY, &o);
+            let mut state = ControlState::new(None, CAPACITY);
             stream
                 .iter()
                 .filter_map(|obs| step(&mut state, obs, &o))
@@ -817,46 +612,27 @@ mod tests {
     }
 
     #[test]
-    fn deadline_never_leaves_the_configured_bounds() {
+    fn quota_never_leaves_its_bounds() {
         let o = opts();
-        let mut state = ControlState::new(initial(), CAPACITY, &o);
+        let mut state = ControlState::new(None, CAPACITY);
         for _ in 0..500 {
-            if let Some((t, _)) = step(&mut state, &hot(64), &o) {
-                let d = t.deadline.expect("tightened tuning has a deadline");
-                assert!(d >= o.min_deadline && d <= o.max_deadline);
-                assert!(t.admission_quota.unwrap() >= o.quota_floor);
-                assert!(t.max_stale_epochs <= o.stale_bound);
+            if let Some((q, _)) = step(&mut state, &hot(CAPACITY), &o) {
+                assert!((1..=CAPACITY).contains(&q.expect("tightened quota is set")));
             }
         }
-        // The backoff tightened well below the base, and the quota sits
-        // at its floor.
-        assert!(state.tuning().deadline.unwrap() < ms(50));
-        assert_eq!(state.tuning().admission_quota, Some(o.quota_floor));
+        assert_eq!(state.quota(), Some(1), "500 hot ticks reach the floor");
     }
 
     #[test]
-    fn tuning_handle_swaps_clamp_and_publish() {
-        let handle = TuningHandle::new(initial(), CAPACITY, None);
-        let applied = handle.swap(ActiveTuning {
-            deadline: None,
-            admission_quota: Some(10_000),
-            max_stale_epochs: 3,
-        });
-        assert_eq!(applied.admission_quota, Some(64), "clamped to capacity");
-        assert_eq!(*handle.load(), *applied);
-    }
-
-    #[test]
-    fn tuning_handle_pushes_staleness_into_the_cache() {
-        use crate::answer_cache::{AnswerCache, AnswerCacheOptions};
-        let cache = Arc::new(AnswerCache::new(AnswerCacheOptions::default()));
-        assert_eq!(cache.max_stale_epochs(), 0);
-        let handle = TuningHandle::new(initial(), CAPACITY, Some(cache.clone()));
-        handle.swap(ActiveTuning {
-            max_stale_epochs: 5,
-            ..initial()
-        });
-        assert_eq!(cache.max_stale_epochs(), 5);
+    fn admission_quota_clamps_and_publishes() {
+        let quota = AdmissionQuota::new(CAPACITY);
+        assert_eq!(quota.get(), None);
+        assert_eq!(quota.set(Some(10_000)), Some(64), "clamped to capacity");
+        assert_eq!(quota.get(), Some(64));
+        assert_eq!(quota.set(Some(0)), Some(1), "clamped to the floor");
+        assert_eq!(quota.get(), Some(1));
+        assert_eq!(quota.set(None), None);
+        assert_eq!(quota.get(), None);
     }
 
     #[test]
@@ -876,18 +652,7 @@ mod tests {
         assert!(p100 >= Duration::from_millis(50), "max lands in its bucket");
         // Drained: the next interval starts empty.
         let empty = h.drain();
-        assert!(empty.is_empty());
+        assert_eq!(empty.count, 0);
         assert_eq!(empty.percentile(99), None);
-        assert_eq!(empty.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn histogram_mean_tracks_the_sum() {
-        let h = IntervalHistogram::new();
-        h.record(Duration::from_micros(10));
-        h.record(Duration::from_micros(30));
-        let snap = h.drain();
-        assert_eq!(snap.mean(), Duration::from_micros(20));
-        assert_eq!(snap.sum_micros, 40);
     }
 }

@@ -41,20 +41,17 @@
 //! zero capacity, a zero deadline) at construction instead of at
 //! `Frontend::start`.
 //!
-//! # Live tuning (the control plane)
+//! # The live admission quota (the control plane)
 //!
-//! What *used to be* frozen at construction — deadline, admission limit,
-//! cache staleness — is now runtime state: `Frontend::start` publishes an
-//! initial [`ActiveTuning`] through a [`TuningHandle`]
-//! ([`Frontend::tuning_handle`]) and every submission reads the *current*
-//! tuning once (the staleness bound is pushed into the cache at swap). A
+//! Workers, deadline and cache are fixed at construction. One admission
+//! limit is runtime state: an [`AdmissionQuota`]
+//! ([`Frontend::admission_quota`]), no quota at start, that every
+//! submission reads with one atomic load. A
 //! [`Controller`](crate::control::Controller) samples this front-end
-//! through a [`FrontendObserver`] (counters plus per-interval
-//! sojourn/latency histograms, [`FrontendObserver::sample`]) and swaps
-//! tunings closed-loop. The worker pool is fixed: an idle worker blocks in
-//! `recv` and costs nothing. Clients may also abandon queued work with
-//! [`Ticket::cancel`] — observed at dequeue, counted in
-//! [`FrontendStats::cancelled`].
+//! through a [`FrontendObserver`] (queue depth plus the per-interval
+//! sojourn histogram, [`FrontendObserver::sample`]) and sets the quota
+//! closed-loop. The worker pool is fixed: an idle worker blocks in `recv`
+//! and costs nothing.
 //!
 //! ```
 //! use simpush::{Config, Frontend, FrontendOptions, QueryOutcome, SimPush};
@@ -76,7 +73,7 @@
 //! ```
 
 use crate::answer_cache::{AnswerCache, CacheKey, SupportTracer};
-use crate::control::{ActiveTuning, HistogramSnapshot, IntervalHistogram, TuningHandle};
+use crate::control::{AdmissionQuota, HistogramSnapshot, IntervalHistogram};
 use crate::query::SimPush;
 use crate::workspace::QueryWorkspace;
 use crossbeam::channel::{self, SendTimeoutError, TrySendError};
@@ -84,7 +81,7 @@ use simrank_common::NodeId;
 use simrank_graph::{
     GraphSnapshot, GraphStore, GraphView, Partitioner, ShardedSnapshot, ShardedStore,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -149,10 +146,6 @@ impl<P: Partitioner + Clone + Send + Sync + 'static> SnapshotSource for ShardedS
 /// construct via the builder (struct literals won't compile outside this
 /// crate) and therefore keep compiling when a field lands. The fields
 /// stay `pub` for *reading*.
-///
-/// The deadline, the admission limit and the cache staleness bound given
-/// here are only the **initial** live tuning — see
-/// [`Frontend::tuning_handle`] for retuning them at runtime.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct FrontendOptions {
@@ -162,8 +155,8 @@ pub struct FrontendOptions {
     /// being served. When full, [`Frontend::try_submit`] rejects with
     /// [`SubmitError::Overloaded`].
     pub queue_capacity: usize,
-    /// Deadline applied to every request submitted without an explicit
-    /// one; `None` means requests never expire.
+    /// Deadline applied to every request; `None` means requests never
+    /// expire.
     pub default_deadline: Option<Duration>,
     /// How many top-scoring nodes each answer keeps.
     pub top_k: usize,
@@ -255,8 +248,8 @@ impl FrontendOptionsBuilder {
         self
     }
 
-    /// Deadline applied to requests submitted without one; `None` never
-    /// expires. Validated positive at build.
+    /// Deadline applied to every request; `None` never expires. Validated
+    /// positive at build.
     pub fn default_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.opts.default_deadline = deadline;
         self
@@ -344,13 +337,6 @@ pub enum QueryOutcome {
         /// How long the request sat in the queue before being dropped.
         queue_wait: Duration,
     },
-    /// The request was cancelled via [`Ticket::cancel`] before a worker
-    /// reached it; it was dropped at dequeue without being answered (and
-    /// never will be), and counted in [`FrontendStats::cancelled`].
-    Cancelled {
-        /// The query node that was cancelled.
-        node: NodeId,
-    },
     /// The worker serving this request died (panicked) before producing
     /// an answer. The request was not answered and never will be; the
     /// panic itself surfaces from [`Frontend::shutdown`]'s join. Exists
@@ -366,9 +352,6 @@ pub enum QueryOutcome {
 struct Slot {
     outcome: Mutex<Option<QueryOutcome>>,
     done: Condvar,
-    /// Set by [`Ticket::cancel`]; workers observe it at dequeue. Purely
-    /// advisory — a request already in service still answers.
-    cancelled: AtomicBool,
 }
 
 impl Slot {
@@ -436,23 +419,6 @@ impl Ticket {
             .unwrap_or_else(|p| p.into_inner())
             .is_some()
     }
-
-    /// Flags the request as abandoned so the front-end sheds it instead
-    /// of serving it: a worker that dequeues a cancelled request drops it
-    /// immediately, resolving the ticket to [`QueryOutcome::Cancelled`]
-    /// and counting it in [`FrontendStats::cancelled`].
-    ///
-    /// Best-effort by design — cancellation is *observed at dequeue*, so
-    /// a request already being served still resolves to its answer. Safe
-    /// to call at any time, including after the request resolved (no-op)
-    /// and more than once. The caller still owns the ticket and may
-    /// [`wait`](Self::wait) to learn which way the race went.
-    pub fn cancel(&self) {
-        // relaxed: advisory shed flag — the worker's dequeue-time load
-        // either sees it (sheds) or doesn't (serves); no other memory is
-        // published through it.
-        self.slot.cancelled.store(true, Ordering::Relaxed);
-    }
 }
 
 struct Request {
@@ -480,7 +446,6 @@ struct Counters {
     rejected: AtomicU64,
     answered: AtomicU64,
     deadline_misses: AtomicU64,
-    cancelled: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     queue_depth: AtomicUsize,
@@ -488,9 +453,6 @@ struct Counters {
     /// Per-interval queue-wait histogram, recorded at every dequeue and
     /// drained each controller tick.
     interval_sojourn: IntervalHistogram,
-    /// Per-interval end-to-end (wait + service) histogram, recorded at
-    /// every answer.
-    interval_latency: IntervalHistogram,
 }
 
 fn snapshot_stats(counters: &Counters) -> FrontendStats {
@@ -503,7 +465,6 @@ fn snapshot_stats(counters: &Counters) -> FrontendStats {
         rejected: count(&counters.rejected),
         answered: count(&counters.answered),
         deadline_misses: count(&counters.deadline_misses),
-        cancelled: count(&counters.cancelled),
         cache_hits: count(&counters.cache_hits),
         cache_misses: count(&counters.cache_misses),
         queue_depth: gauge(&counters.queue_depth),
@@ -521,36 +482,29 @@ pub struct FrontendObserver {
 }
 
 impl FrontendObserver {
-    /// A point-in-time counter snapshot (same as [`Frontend::stats`]).
-    pub fn stats(&self) -> FrontendStats {
-        snapshot_stats(&self.counters)
-    }
-
-    /// Snapshots the counters **and drains** the per-interval
-    /// sojourn/latency histograms — the controller's per-tick read.
+    /// Reads the queue-depth gauge **and drains** the per-interval
+    /// sojourn histogram — the controller's per-tick read.
     ///
     /// Draining consumes the interval: two concurrent samplers would
-    /// split the samples between them, so run one controller (or
-    /// timeline collector) per front-end.
+    /// split the samples between them, so run one controller per
+    /// front-end.
     pub fn sample(&self) -> IntervalSample {
         IntervalSample {
-            stats: snapshot_stats(&self.counters),
+            // relaxed: racy advisory gauge, see `Frontend::queue_depth`.
+            queue_depth: self.counters.queue_depth.load(Ordering::Relaxed),
             sojourn: self.counters.interval_sojourn.drain(),
-            latency: self.counters.interval_latency.drain(),
         }
     }
 }
 
-/// One [`FrontendObserver::sample`]: counters plus the drained interval
-/// histograms.
+/// One [`FrontendObserver::sample`]: the queue depth plus the drained
+/// sojourn histogram.
 #[derive(Debug, Clone)]
 pub struct IntervalSample {
-    /// Counter snapshot at drain time.
-    pub stats: FrontendStats,
+    /// Requests queued at drain time (racy gauge).
+    pub queue_depth: usize,
     /// Queue-wait distribution of the interval (everything dequeued).
     pub sojourn: HistogramSnapshot,
-    /// End-to-end latency distribution of the interval (answers only).
-    pub latency: HistogramSnapshot,
 }
 
 /// A point-in-time view of the front-end's admission/service counters.
@@ -564,9 +518,6 @@ pub struct FrontendStats {
     pub answered: u64,
     /// Requests dropped at dequeue because their deadline had passed.
     pub deadline_misses: u64,
-    /// Requests dropped at dequeue because their ticket was
-    /// [cancelled](Ticket::cancel) while they queued.
-    pub cancelled: u64,
     /// Requests answered straight from the [`AnswerCache`] (no snapshot
     /// acquired, no query run). Always 0 without a configured cache.
     pub cache_hits: u64,
@@ -604,7 +555,8 @@ pub struct Frontend {
     tx: Option<channel::Sender<Request>>,
     workers: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
-    tuning: Arc<TuningHandle>,
+    quota: Arc<AdmissionQuota>,
+    deadline: Option<Duration>,
     num_nodes: usize,
 }
 
@@ -612,7 +564,8 @@ impl std::fmt::Debug for Frontend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Frontend")
             .field("workers", &self.workers.len())
-            .field("tuning", &*self.tuning.load())
+            .field("deadline", &self.deadline)
+            .field("admission_quota", &self.quota.get())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -638,21 +591,6 @@ impl Frontend {
         let (tx, rx) = channel::bounded::<Request>(opts.queue_capacity);
         let counters = Arc::new(Counters::default());
         let num_nodes = source.acquire().0.num_nodes();
-        // The construction-time knobs become the *initial* live tuning:
-        // no quota (the channel capacity is the only admission limit, the
-        // historical behaviour).
-        let tuning = Arc::new(TuningHandle::new(
-            ActiveTuning {
-                deadline: opts.default_deadline,
-                admission_quota: None,
-                max_stale_epochs: opts
-                    .cache
-                    .as_deref()
-                    .map_or(0, AnswerCache::max_stale_epochs),
-            },
-            opts.queue_capacity,
-            opts.cache.clone(),
-        ));
         let mut workers = Vec::with_capacity(opts.workers);
         for _ in 0..opts.workers {
             let ctx = WorkerContext {
@@ -672,55 +610,46 @@ impl Frontend {
             tx: Some(tx),
             workers,
             counters,
-            tuning,
+            quota: Arc::new(AdmissionQuota::new(opts.queue_capacity)),
+            deadline: opts.default_deadline,
             num_nodes,
         }
     }
 
-    /// The live-tuning publication point every submission reads: swap an
-    /// [`ActiveTuning`] through it (directly or via a
-    /// [`Controller`](crate::control::Controller)) and the next request
-    /// sees the new deadline/quota/staleness.
-    pub fn tuning_handle(&self) -> Arc<TuningHandle> {
-        self.tuning.clone()
+    /// The live admission quota every submission reads: set it (directly
+    /// or via a [`Controller`](crate::control::Controller)) and the next
+    /// submission is shed against it.
+    pub fn admission_quota(&self) -> Arc<AdmissionQuota> {
+        self.quota.clone()
     }
 
-    /// A read-only telemetry handle (counters + interval histograms) that
-    /// outlives the front-end — what a controller samples.
+    /// A read-only telemetry handle (queue depth + sojourn histogram)
+    /// that outlives the front-end — what a controller samples.
     pub fn observer(&self) -> FrontendObserver {
         FrontendObserver {
             counters: self.counters.clone(),
         }
     }
 
-    /// The one submit routine behind [`try_submit`](Self::try_submit),
-    /// [`try_submit_with_deadline`](Self::try_submit_with_deadline) and
-    /// [`submit_timeout`](Self::submit_timeout): admit → gauge → quota →
-    /// send → accept / reject / shut-down rollback, under one read of the
-    /// live tuning. `patience` is how long the send may wait for a queue
-    /// slot; `None` never blocks.
-    fn submit(
-        &self,
-        node: NodeId,
-        deadline: Option<Duration>,
-        patience: Option<Duration>,
-    ) -> Result<Ticket, SubmitError> {
+    /// The one submit routine behind [`try_submit`](Self::try_submit)
+    /// and [`submit_timeout`](Self::submit_timeout): admit → gauge →
+    /// quota → send → accept / reject / shut-down rollback. `patience` is
+    /// how long the send may wait for a queue slot; `None` never blocks.
+    fn submit(&self, node: NodeId, patience: Option<Duration>) -> Result<Ticket, SubmitError> {
         assert!(
             (node as usize) < self.num_nodes,
             "query node {node} out of range for graph with {} nodes",
             self.num_nodes
         );
         let submitted_at = Instant::now();
-        let tuning = self.tuning.load();
         let slot = Arc::new(Slot {
             outcome: Mutex::new(None),
             done: Condvar::new(),
-            cancelled: AtomicBool::new(false),
         });
         let request = Request {
             node,
             submitted_at,
-            deadline: deadline.or(tuning.deadline).map(|d| submitted_at + d),
+            deadline: self.deadline.map(|d| submitted_at + d),
             slot: slot.clone(),
         };
         let counters = &*self.counters;
@@ -736,7 +665,7 @@ impl Frontend {
         // channel — even the blocking submit, because a
         // controller-imposed quota exists precisely to stop cooperative
         // clients from queueing into an overloaded service.
-        let sent = if tuning.admission_quota.is_some_and(|quota| depth > quota) {
+        let sent = if self.quota.get().is_some_and(|quota| depth > quota) {
             Err(SubmitError::Overloaded)
         } else {
             let tx = self.tx.as_ref().expect("sender lives until shutdown");
@@ -783,22 +712,7 @@ impl Frontend {
     /// # Panics
     /// Panics if `node` is out of range for the backing store's graph.
     pub fn try_submit(&self, node: NodeId) -> Result<Ticket, SubmitError> {
-        self.submit(node, None, None)
-    }
-
-    /// [`try_submit`](Self::try_submit) with a per-request deadline
-    /// override (`None` falls back to the live tuning's
-    /// [`deadline`](ActiveTuning::deadline), which starts out as
-    /// [`default_deadline`](FrontendOptions::default_deadline)).
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range for the backing store's graph.
-    pub fn try_submit_with_deadline(
-        &self,
-        node: NodeId,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, SubmitError> {
-        self.submit(node, deadline, None)
+        self.submit(node, None)
     }
 
     /// Submits a query, blocking up to `timeout` for queue space — the
@@ -808,7 +722,7 @@ impl Frontend {
     /// # Panics
     /// Panics if `node` is out of range for the backing store's graph.
     pub fn submit_timeout(&self, node: NodeId, timeout: Duration) -> Result<Ticket, SubmitError> {
-        self.submit(node, None, Some(timeout))
+        self.submit(node, Some(timeout))
     }
 
     /// Requests currently queued (racy gauge; exact only at quiescence).
@@ -952,19 +866,10 @@ fn worker_loop<S: SnapshotSource + ?Sized>(source: &S, ctx: WorkerContext) {
         counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let dequeued_at = Instant::now();
         let queue_wait = dequeued_at.duration_since(request.submitted_at);
-        // Sojourn telemetry covers *everything* dequeued — answered,
-        // expired or cancelled — because queue aging is exactly what the
-        // controller needs to see.
+        // Sojourn telemetry covers *everything* dequeued — answered or
+        // expired — because queue aging is exactly what the controller
+        // needs to see.
         counters.interval_sojourn.record(queue_wait);
-        // relaxed: advisory shed flag, see Ticket::cancel.
-        if request.slot.cancelled.load(Ordering::Relaxed) {
-            // relaxed: monotone stat counter, advisory reads only.
-            counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            request
-                .slot
-                .fill(QueryOutcome::Cancelled { node: request.node });
-            continue;
-        }
         if let Some(deadline) = request.deadline {
             if dequeued_at > deadline {
                 // relaxed: monotone stat counter, advisory reads only.
@@ -1026,7 +931,6 @@ fn worker_loop<S: SnapshotSource + ?Sized>(source: &S, ctx: WorkerContext) {
         };
         // relaxed: monotone stat counter, advisory reads only.
         counters.answered.fetch_add(1, Ordering::Relaxed);
-        counters.interval_latency.record(queue_wait + service);
         request.slot.fill(QueryOutcome::Answered(FrontendResponse {
             node: request.node,
             epoch,
@@ -1117,11 +1021,8 @@ mod tests {
         // the depth gauge where it was. The blocking door gives up well
         // inside the synthetic delay, so the queue is still full.
         type Door = fn(&Frontend, NodeId) -> Result<Ticket, SubmitError>;
-        let doors: [(&str, Door); 3] = [
+        let doors: [(&str, Door); 2] = [
             ("try_submit", |f, u| f.try_submit(u)),
-            ("try_submit_with_deadline", |f, u| {
-                f.try_submit_with_deadline(u, Some(Duration::from_secs(5)))
-            }),
             ("submit_timeout", |f, u| {
                 f.submit_timeout(u, Duration::from_millis(5))
             }),
@@ -1175,12 +1076,7 @@ mod tests {
                 .synthetic_service_delay(Duration::from_millis(60))
                 .build(),
         );
-        let first = frontend.try_submit(1).unwrap();
-        let t = Instant::now();
-        while frontend.queue_depth() > 0 {
-            assert!(t.elapsed() < Duration::from_secs(5), "worker never started");
-            std::thread::yield_now();
-        }
+        let first = occupy_worker(&frontend);
         let second = frontend.try_submit(2).unwrap();
         let third = frontend.try_submit(3).unwrap();
 
@@ -1398,12 +1294,7 @@ mod tests {
                 .build(),
         );
         // Saturate: one in service, one queued.
-        let a = frontend.try_submit(0).unwrap();
-        let t = Instant::now();
-        while frontend.queue_depth() > 0 {
-            assert!(t.elapsed() < Duration::from_secs(5), "worker never started");
-            std::thread::yield_now();
-        }
+        let a = occupy_worker(&frontend);
         let b = frontend.try_submit(1).unwrap();
         assert!(matches!(
             frontend.try_submit(2),
@@ -1511,50 +1402,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_ticket_is_shed_at_dequeue_and_counted() {
-        let store = Arc::new(GraphStore::new(gen::gnm(40, 160, 3)));
-        let engine = SimPush::new(Config::new(0.05));
-        let frontend = Frontend::start(
-            &engine,
-            store,
-            options(1, 8)
-                .synthetic_service_delay(Duration::from_millis(40))
-                .build(),
-        );
-        let first = occupy_worker(&frontend);
-        let doomed = frontend.try_submit(1).unwrap();
-        doomed.cancel();
-        assert!(!doomed.is_done(), "cancellation resolves at dequeue");
-        match doomed.wait() {
-            QueryOutcome::Cancelled { node } => assert_eq!(node, 1),
-            other => panic!("cancelled while queued, got {other:?}"),
-        }
-        assert!(matches!(first.wait(), QueryOutcome::Answered(_)));
-        let stats = frontend.shutdown();
-        assert_eq!(stats.cancelled, 1);
-        assert_eq!(stats.answered, 1);
-        assert_eq!(stats.deadline_misses, 0);
-    }
-
-    #[test]
-    fn cancel_after_resolution_is_a_no_op() {
-        let store = Arc::new(GraphStore::new(gen::gnm(40, 160, 3)));
-        let engine = SimPush::new(Config::new(0.05));
-        let frontend = Frontend::start(&engine, store, options(1, 4).build());
-        let ticket = frontend.try_submit(2).unwrap();
-        let t = Instant::now();
-        while !ticket.is_done() {
-            assert!(t.elapsed() < Duration::from_secs(5), "never answered");
-            std::thread::yield_now();
-        }
-        ticket.cancel(); // lost the race: the answer stands
-        assert!(matches!(ticket.wait(), QueryOutcome::Answered(_)));
-        let stats = frontend.shutdown();
-        assert_eq!(stats.cancelled, 0);
-        assert_eq!(stats.answered, 1);
-    }
-
-    #[test]
     fn admission_quota_sheds_submissions_the_channel_would_accept() {
         let store = Arc::new(GraphStore::new(gen::gnm(50, 200, 1)));
         let engine = SimPush::new(Config::new(0.05));
@@ -1565,11 +1412,7 @@ mod tests {
                 .synthetic_service_delay(Duration::from_millis(60))
                 .build(),
         );
-        let tuning = frontend.tuning_handle();
-        tuning.swap(ActiveTuning {
-            admission_quota: Some(1),
-            ..(*tuning.load()).clone()
-        });
+        assert_eq!(frontend.admission_quota().set(Some(1)), Some(1));
         let first = occupy_worker(&frontend);
         // Depth 1 is within quota; depth 2 exceeds it even though the
         // 16-slot channel has plenty of room.
@@ -1593,37 +1436,6 @@ mod tests {
     }
 
     #[test]
-    fn live_deadline_retune_applies_to_subsequent_submissions() {
-        // Same shape as delayed_worker_turns_queued_requests_into_
-        // deadline_misses, but the deadline arrives via a runtime swap
-        // instead of construction-time options.
-        let store = Arc::new(GraphStore::new(gen::gnm(60, 240, 2)));
-        let engine = SimPush::new(Config::new(0.05));
-        let frontend = Frontend::start(
-            &engine,
-            store,
-            options(1, 8)
-                .synthetic_service_delay(Duration::from_millis(60))
-                .build(),
-        );
-        let tuning = frontend.tuning_handle();
-        let first = occupy_worker(&frontend);
-        tuning.swap(ActiveTuning {
-            deadline: Some(Duration::from_millis(15)),
-            ..(*tuning.load()).clone()
-        });
-        // Queued behind a 60 ms service with a 15 ms deadline: expires.
-        let second = frontend.try_submit(2).unwrap();
-        assert!(matches!(first.wait(), QueryOutcome::Answered(_)));
-        assert!(matches!(
-            second.wait(),
-            QueryOutcome::DeadlineMissed { node: 2, .. }
-        ));
-        let stats = frontend.shutdown();
-        assert_eq!(stats.deadline_misses, 1);
-    }
-
-    #[test]
     fn observer_sample_drains_the_interval_histograms() {
         let store = Arc::new(GraphStore::new(gen::gnm(80, 320, 4)));
         let engine = SimPush::new(Config::new(0.05));
@@ -1636,19 +1448,13 @@ mod tests {
         );
         assert_eq!(outcomes.len(), 12);
         let sample = observer.sample();
-        assert_eq!(sample.stats.answered, 12);
+        assert_eq!(sample.queue_depth, 0, "a closed loop leaves nothing queued");
         assert_eq!(sample.sojourn.count, 12, "every dequeue records sojourn");
-        assert_eq!(sample.latency.count, 12, "every answer records latency");
-        assert!(sample.latency.percentile(99).is_some());
-        assert!(
-            sample.latency.percentile(50) >= sample.sojourn.percentile(0),
-            "latency includes service on top of sojourn"
-        );
+        assert!(sample.sojourn.percentile(99).is_some());
         // The drain consumed the interval.
-        let empty = observer.sample();
-        assert!(empty.sojourn.is_empty() && empty.latency.is_empty());
+        assert_eq!(observer.sample().sojourn.count, 0);
         // The observer outlives the front-end.
-        let final_stats = frontend.shutdown();
-        assert_eq!(observer.stats(), final_stats);
+        frontend.shutdown();
+        assert_eq!(observer.sample().queue_depth, 0);
     }
 }

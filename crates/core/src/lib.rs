@@ -66,19 +66,14 @@
 //! full), a worker pool answering on per-request fresh snapshots, and
 //! per-query deadlines whose expirations are dropped at dequeue and
 //! counted — see the [`frontend`] module docs.
-//! `FrontendOptions` construction migrated to a validating builder
-//! ([`FrontendOptions::builder`]); the struct is `#[non_exhaustive]`, so
-//! new serving knobs land without breaking call sites.
 //!
 //! # Elastic control plane
 //!
-//! The [`control`] module makes the serving knobs *live*: an
-//! [`ActiveTuning`] (deadline, admission quota, cache staleness) is
-//! atomically swappable through a [`TuningHandle`] and read per-request
-//! by the front-end, and a closed-loop [`Controller`] samples
-//! per-interval sojourn/latency histograms to actuate it CoDel-style —
-//! the `elastic_serve` bench shows the controlled ramp holding its p99
-//! SLO where the static configuration collapses.
+//! The [`control`] module makes one serving knob *live*: an
+//! [`AdmissionQuota`] that every submission reads with one atomic load,
+//! set by a closed-loop [`Controller`] that samples the per-interval
+//! sojourn histogram and the queue depth and shrinks or regrows the quota
+//! CoDel-style.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,8 +95,8 @@ pub use answer_cache::{
 };
 pub use config::{Config, LevelDetection};
 pub use control::{
-    step, ActiveTuning, ControlLog, ControlReason, ControlRecord, ControlState, Controller,
-    ControllerOptions, HistogramSnapshot, IntervalHistogram, TickObservation, TuningHandle,
+    step, AdmissionQuota, ControlLog, ControlReason, ControlRecord, ControlState, Controller,
+    ControllerOptions, HistogramSnapshot, IntervalHistogram, TickObservation,
 };
 pub use frontend::{
     Frontend, FrontendObserver, FrontendOptions, FrontendOptionsBuilder, FrontendResponse,

@@ -19,7 +19,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simrank_common::NodeId;
-use simrank_graph::{CsrGraph, GraphUpdate, GraphView, MutableGraph, Partitioner};
+use simrank_graph::{
+    CsrGraph, GraphUpdate, GraphView, MutableGraph, Partitioner, RangePartitioner,
+};
 use std::time::Duration;
 
 /// A mixed serving workload: an update stream and a query stream.
@@ -74,46 +76,17 @@ pub fn mixed_workload(
     remove_fraction: f64,
     seed: u64,
 ) -> MixedWorkload {
-    let n = base.num_nodes();
-    assert!(n >= 2, "need at least two nodes to generate edge updates");
-    assert!(
-        (0.0..=1.0).contains(&remove_fraction),
-        "remove_fraction must be a probability"
-    );
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut replica = MutableGraph::from_csr(base);
-    let mut updates = Vec::with_capacity(num_updates);
-    // Insertions only ever target absent non-self-loop edges, so once the
-    // replica holds them all the insert branch can never make progress —
-    // force removals past that point instead of livelocking.
-    let insert_capacity = n * (n - 1);
-    while updates.len() < num_updates {
-        let saturated = replica.num_edges() >= insert_capacity;
-        if replica.num_edges() > 0 && (saturated || rng.gen_bool(remove_fraction)) {
-            // Remove a present edge: rejection-sample a node with
-            // out-degree > 0, then one of its targets.
-            let s = loop {
-                let s = rng.gen_range(0..n) as NodeId;
-                if replica.out_degree(s) > 0 {
-                    break s;
-                }
-            };
-            let outs = replica.out_neighbors(s);
-            let t = outs[rng.gen_range(0..outs.len())];
-            replica.remove_edge(s, t);
-            updates.push(GraphUpdate::Remove(s, t));
-        } else {
-            let s = rng.gen_range(0..n) as NodeId;
-            let t = rng.gen_range(0..n) as NodeId;
-            if s != t && replica.insert_edge(s, t) {
-                updates.push(GraphUpdate::Insert(s, t));
-            }
-        }
-    }
-    let queries = (0..num_queries)
-        .map(|_| rng.gen_range(0..n) as NodeId)
-        .collect();
-    MixedWorkload { updates, queries }
+    // On one shard no insert can cross, so the shard-aware generator
+    // draws exactly this stream.
+    sharded_workload(
+        base,
+        &RangePartitioner::new(base.num_nodes(), 1),
+        num_updates,
+        num_queries,
+        remove_fraction,
+        0.0,
+        seed,
+    )
 }
 
 /// Generates a deterministic **shard-aware** mixed workload over `base`:
@@ -126,7 +99,7 @@ pub fn mixed_workload(
 /// must be mirrored into both incident shards of a
 /// [`ShardedStore`](simrank_graph::ShardedStore), so `cross_fraction`
 /// directly sets the replication tax, and a locality-friendly partitioner
-/// (e.g. [`RangePartitioner`](simrank_graph::RangePartitioner), whose
+/// (e.g. [`RangePartitioner`], whose
 /// chunks nest across shard counts when the node count divides evenly)
 /// keeps one generated stream shard-local at every smaller shard count
 /// too — see the nesting caveat on `RangePartitioner` itself.
@@ -163,15 +136,20 @@ pub fn sharded_workload<P: Partitioner>(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut replica = MutableGraph::from_csr(base);
     let mut updates = Vec::with_capacity(num_updates);
+    // Insertions only ever target absent non-self-loop edges, so once the
+    // replica holds them all the insert branch can never make progress —
+    // force removals past that point instead of livelocking.
     let insert_capacity = n * (n - 1);
     // Consecutive failed insert attempts; past the patience budget the
     // side-ness constraint is dropped so local saturation cannot livelock
-    // the generator (global saturation is handled like `mixed_workload`).
+    // the generator either.
     let mut stuck = 0usize;
     const PATIENCE: usize = 64;
     while updates.len() < num_updates {
         let saturated = replica.num_edges() >= insert_capacity;
         if replica.num_edges() > 0 && (saturated || rng.gen_bool(remove_fraction)) {
+            // Remove a present edge: rejection-sample a node with
+            // out-degree > 0, then one of its targets.
             let s = loop {
                 let s = rng.gen_range(0..n) as NodeId;
                 if replica.out_degree(s) > 0 {
@@ -185,6 +163,8 @@ pub fn sharded_workload<P: Partitioner>(
             stuck = 0;
         } else {
             let s = rng.gen_range(0..n) as NodeId;
+            // Short-circuits before any draw on one shard, which is what
+            // makes `mixed_workload` this generator on one shard.
             let want_cross = partitioner.num_shards() > 1
                 && cross_fraction > 0.0
                 && rng.gen_bool(cross_fraction);

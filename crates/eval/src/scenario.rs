@@ -719,9 +719,7 @@ pub fn run_scenario_cached(
                     top: r.top,
                 });
             }
-            // Scenarios never cancel their own tickets; an external
-            // canceller (a controller test harness) is data, not an error.
-            QueryOutcome::DeadlineMissed { .. } | QueryOutcome::Cancelled { .. } => {}
+            QueryOutcome::DeadlineMissed { .. } => {}
             QueryOutcome::Failed { node } => panic!("worker failed serving node {node}"),
         }
     }

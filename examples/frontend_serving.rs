@@ -101,7 +101,6 @@ fn main() {
         match ticket.wait() {
             QueryOutcome::Answered(r) => answered.push((u, r.epoch, r.top)),
             QueryOutcome::DeadlineMissed { .. } => missed += 1,
-            QueryOutcome::Cancelled { .. } => unreachable!("this example never cancels"),
             QueryOutcome::Failed { node } => panic!("worker failed serving node {node}"),
         }
     }

@@ -1,13 +1,13 @@
-//! Property tests for the elastic control plane: however the live tuning
-//! is thrashed mid-flight, the *content* of every answer is untouchable.
+//! Tests for the elastic control plane: however the live admission quota
+//! is thrashed mid-flight, the *content* of every answer is untouchable,
+//! and the controller thread really sheds at the quota it logs.
 //!
-//! The dynamic-tuning API lets a controller retune deadline, admission
-//! quota and staleness bound while requests are in flight. Tuning may
-//! change **which** requests get answered (shed, deadline-missed) — it
-//! must never change **what** an answered request says. The first
-//! property drives a real
+//! The controller sets the admission quota while requests are in flight.
+//! The quota may change **which** requests get answered (shed) and the
+//! construction deadline may expire queued work — neither may change
+//! **what** an answered request says. The first property drives a real
 //! [`Frontend`] under an arbitrary interleaving of edge updates,
-//! publishes, tuning swaps and submissions, then replays every answered
+//! publishes, quota swaps and submissions, then replays every answered
 //! `(node, epoch)` against a from-scratch rebuild of that epoch's graph
 //! and demands bit-identical top-k lists.
 //!
@@ -16,15 +16,18 @@
 //! feeding the same observation stream into a fresh state must reproduce
 //! the exact actuation sequence — the contract that makes a recorded
 //! `ControlLog` replayable in tests.
+//!
+//! The last test runs the whole loop on the clock: observer sample →
+//! [`step`] → quota store → `submit` sheds.
 
 use proptest::prelude::*;
 use simpush::{
-    ActiveTuning, Config, ControlState, ControllerOptions, Frontend, FrontendOptions, QueryOutcome,
-    SimPush, TickObservation, Ticket,
+    Config, ControlReason, ControlState, Controller, ControllerOptions, Frontend, FrontendOptions,
+    QueryOutcome, SimPush, SubmitError, TickObservation, Ticket,
 };
 use simrank_suite::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TOP_K: usize = 5;
 const WORKERS: usize = 2;
@@ -44,26 +47,18 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-/// One step of the serving interleave, decoded from a `(kind, a, b)`
-/// triple so proptest shrinks over plain integers.
+/// A quota swap of the serving interleave, decoded from a plain integer
+/// so proptest shrinks over it.
 ///
-/// Tuning swaps deliberately cover the nasty corners: `Some(0)` quota
-/// (shed everything), crossed with a
-/// deadline short enough to expire queued work — all legal, all allowed
-/// to change outcomes, none allowed to change answers.
-fn decode_tuning(a: usize, b: usize) -> ActiveTuning {
-    ActiveTuning {
-        deadline: match a % 3 {
-            0 => None,
-            1 => Some(Duration::from_millis(2)),
-            _ => Some(Duration::from_millis(200)),
-        },
-        admission_quota: match b % 3 {
-            0 => None,
-            1 => Some(b % QUEUE_CAPACITY),
-            _ => Some(1 + b % QUEUE_CAPACITY),
-        },
-        max_stale_epochs: 0,
+/// Swaps deliberately cover the nasty corners: `Some(0)` (clamped to the
+/// floor of 1), crossed with a construction deadline short enough to
+/// expire queued work — all legal, all allowed to change outcomes, none
+/// allowed to change answers.
+fn decode_quota(b: usize) -> Option<usize> {
+    match b % 3 {
+        0 => None,
+        1 => Some(b % QUEUE_CAPACITY),
+        _ => Some(1 + b % QUEUE_CAPACITY),
     }
 }
 
@@ -71,14 +66,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // The replay contract under live retuning: every `Answered` outcome,
-    // whatever tuning regime admitted and served it, must equal a direct
-    // `query_seeded` on a from-scratch rebuild of its epoch's graph.
+    // whatever quota admitted it and whatever deadline it raced, must equal
+    // a direct `query_seeded` on a from-scratch rebuild of its epoch's
+    // graph.
     #[test]
     fn answers_under_any_tuning_schedule_replay_bit_identically(
         base in arb_graph(24, 70),
         ops in proptest::collection::vec((0u8..10, 0usize..10_000, 0usize..10_000), 1..60),
         eps in 0.03f64..0.1,
         threshold in 1usize..6,
+        deadline in 0usize..3,
     ) {
         let n = base.num_nodes();
         let store = Arc::new(GraphStore::with_compaction_threshold(base.clone(), threshold));
@@ -89,10 +86,15 @@ proptest! {
             FrontendOptions::builder()
                 .workers(WORKERS)
                 .queue_capacity(QUEUE_CAPACITY)
+                .default_deadline(match deadline {
+                    0 => None,
+                    1 => Some(Duration::from_millis(2)),
+                    _ => Some(Duration::from_millis(200)),
+                })
                 .top_k(TOP_K)
                 .build(),
         );
-        let tuning = frontend.tuning_handle();
+        let quota = frontend.admission_quota();
 
         // Shadow replica: rebuilt[e] is the graph the store published as
         // epoch e (publish bumps the epoch unconditionally).
@@ -117,7 +119,7 @@ proptest! {
                     prop_assert_eq!(info.epoch as usize, rebuilt.len() - 1);
                 }
                 4 | 5 => {
-                    tuning.swap(decode_tuning(a, b));
+                    quota.set(decode_quota(b));
                 }
                 _ => {
                     // Rejection (quota or full queue) is a legal outcome
@@ -143,10 +145,10 @@ proptest! {
                         "node {} drifted at epoch {} under live retuning", node, epoch
                     );
                 }
-                // Tuning is allowed to shed or expire work, and a swap
+                // The deadline is allowed to expire work, and a swap
                 // racing a submission makes both directions legal — just
                 // never to corrupt what *is* answered.
-                QueryOutcome::DeadlineMissed { .. } | QueryOutcome::Cancelled { .. } => {}
+                QueryOutcome::DeadlineMissed { .. } => {}
                 QueryOutcome::Failed { node } => panic!("worker failed on node {node}"),
             }
         }
@@ -161,34 +163,20 @@ proptest! {
     fn controller_decisions_replay_exactly_from_the_observation_stream(
         // The shim has no `option::of`: 0 encodes `None` (an idle tick /
         // no initial quota), anything else `Some(value - 1)`.
-        observations in proptest::collection::vec(
-            (0u64..40_001, 0usize..10, 0u64..50, 0u64..50),
-            1..60,
-        ),
-        deadline_ms in 1u64..80,
+        observations in proptest::collection::vec((0u64..40_001, 0usize..10), 1..60),
         quota in 0usize..9,
     ) {
         let opts = ControllerOptions::default();
-        let initial = ActiveTuning {
-            deadline: Some(Duration::from_millis(deadline_ms)),
-            admission_quota: quota.checked_sub(1),
-            max_stale_epochs: 0,
-        };
         let stream: Vec<TickObservation> = observations
             .iter()
-            .map(|&(sojourn_us, depth, accepted, answered)| TickObservation {
+            .map(|&(sojourn_us, depth)| TickObservation {
                 sojourn_p99: sojourn_us.checked_sub(1).map(Duration::from_micros),
-                latency_p99: sojourn_us.checked_sub(1).map(|us| Duration::from_micros(us * 2)),
                 queue_depth: depth,
-                accepted,
-                rejected: 0,
-                answered,
-                deadline_misses: 0,
             })
             .collect();
 
         let run = |stream: &[TickObservation]| {
-            let mut state = ControlState::new(initial.clone(), QUEUE_CAPACITY, &opts);
+            let mut state = ControlState::new(quota.checked_sub(1), QUEUE_CAPACITY);
             stream
                 .iter()
                 .map(|obs| simpush::step(&mut state, obs, &opts))
@@ -198,4 +186,83 @@ proptest! {
         let second = run(&stream);
         prop_assert_eq!(first, second);
     }
+}
+
+// The controller thread's wiring, on the clock. One worker is held 2 ms
+// per request behind a roomy channel, and the controller ticks every 5 ms
+// against a 1 ms sojourn target, so a burst queues far past the target.
+// The controller must tighten, `submit` must shed against the quota while
+// the channel still has room, and the quota it shed against must be one
+// the log recorded. Relaxing is disabled, so the quota only ever shrinks
+// and every record is a tighten.
+#[test]
+fn controller_thread_sheds_at_the_quota_it_logged() {
+    const CAPACITY: usize = 256;
+    const BURST: usize = 64;
+    let store = Arc::new(GraphStore::new(simrank_suite::graph::gen::gnm(50, 200, 1)));
+    let engine = SimPush::new(Config::new(0.05));
+    let frontend = Frontend::start(
+        &engine,
+        store,
+        FrontendOptions::builder()
+            .workers(1)
+            .queue_capacity(CAPACITY)
+            .synthetic_service_delay(Duration::from_millis(2))
+            .build(),
+    );
+    let quota = frontend.admission_quota();
+    let controller = Controller::start(
+        frontend.observer(),
+        quota.clone(),
+        ControllerOptions {
+            tick: Duration::from_millis(5),
+            target_sojourn: Duration::from_millis(1),
+            overload_ticks: 1,
+            calm_ticks: u32::MAX,
+            cooldown_ticks: 0,
+        },
+    );
+    let mut tickets: Vec<Ticket> = (0..BURST as NodeId)
+        .map(|u| frontend.try_submit(u % 50))
+        .filter_map(Result::ok)
+        .collect();
+    // Probe only while the backlog is below the burst, so it neither
+    // drains nor grows toward the channel's capacity.
+    let t = Instant::now();
+    let enforced = loop {
+        assert!(
+            t.elapsed() < Duration::from_secs(10),
+            "the controller never shed a submission"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+        let (before, depth) = (quota.get(), frontend.queue_depth());
+        if depth >= BURST {
+            continue;
+        }
+        match frontend.try_submit(7) {
+            Ok(ticket) => tickets.push(ticket),
+            // A tighten racing the probe leaves it unclear which quota
+            // shed it; probe again.
+            Err(SubmitError::Overloaded) if quota.get() != before => {}
+            Err(SubmitError::Overloaded) => {
+                assert!(depth < CAPACITY, "the channel still has room");
+                break before.expect("only a set quota sheds below capacity");
+            }
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+    };
+    let log = controller.stop();
+    assert!(log
+        .records
+        .iter()
+        .all(|r| r.reason == ControlReason::Tighten));
+    assert!(
+        log.records.iter().any(|r| r.quota == Some(enforced)),
+        "shed at quota {enforced}, which no tighten applied: {:?}",
+        log.records
+    );
+    for ticket in tickets {
+        assert!(matches!(ticket.wait(), QueryOutcome::Answered(_)));
+    }
+    assert!(frontend.shutdown().rejected >= 1);
 }
