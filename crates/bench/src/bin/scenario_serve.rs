@@ -1,39 +1,56 @@
 //! `scenario_serve` — runs the named workload-scenario matrix against the
 //! serving front-end and judges it.
 //!
-//! This bin fixes *what shape* the traffic has, not how much of it the
-//! `Frontend` can take: it runs every scenario in
-//! [`simrank_eval::scenario::catalog`] — `read_heavy`, `update_heavy`,
-//! `zipf_hot`, `bursty`, `batch_scan`, `hot_flood` — through the real
-//! front-end (bounded admission queue, worker pool, deadlines, a paced
-//! update writer), prints one row per scenario (offered and achieved
-//! rate, reject and deadline-miss rate, p50/p99 latency, whether the
-//! scenario's own SLO targets were met) and checks each typed report
-//! against [`simrank_eval::scenario::violations`], and the calibration
-//! against [`Calibration::violations`].
+//! Every scenario in [`simrank_eval::scenario::catalog`] — `read_heavy`,
+//! `update_heavy`, `zipf_hot`, `bursty`, `batch_scan`, `hot_flood`,
+//! `ramp` — runs through the real front-end (bounded admission queue,
+//! worker pool, deadlines, a paced update writer), one table row per run:
+//! offered and achieved rate, reject and deadline-miss rate, p50/p99
+//! latency, whether the scenario's gated ceilings held.
 //!
+//! The `ramp` (0.5× → 2.5× capacity through one store and one front-end)
+//! runs twice on the same seed, over identical arrivals, keys and updates:
+//! **static** (no admission quota: above the knee the bounded queue pins
+//! full and every answer pays for it), and **controlled** (one
+//! `Controller` for the whole run sets the live admission quota
+//! CoDel-style, so overload is shed at admission and the answered requests
+//! keep their latency budget). A second table puts both sides of every
+//! segment next to each other (steady-state p99, whether it met the SLO,
+//! reject rate); the controller's actuation counts and the calibration
+//! follow.
+//!
+//! Every report is checked against [`violations`] and a sample of its
+//! answers is replayed on a cold rebuild of the epoch it was served on;
+//! the ramp pair is checked against [`ramp_violations`] and the
+//! calibration against
+//! [`Calibration::violations`](simrank_eval::scenario::Calibration::violations).
 //! Offered rates are multiples of calibrated capacity (a closed-loop run
-//! of uniform keys through the same front-end), so the numbers mean the
-//! same thing on a laptop and a CI runner — and never compare two
-//! commits; `benchmark/` does that.
+//! of uniform keys through the same front-end), so they mean the same
+//! thing on a laptop and a CI runner — and never compare two commits;
+//! `benchmark/` does that. The ramp's SLO and controller target are
+//! anchored on the same calibration.
 //!
 //! ```text
 //! cargo run --release -p simrank_bench --bin scenario_serve [--smoke]
 //! ```
 //!
 //! Exit code 0: the verdict holds. 1: a rule is violated; every violated
-//! rule is printed last as `VERDICT FAILED: <scenario>: <rule>`. 2: usage.
-//! `--smoke` shrinks the graph and request counts to CI scale, paces the
-//! open loops from at most 1,600 q/s (see `SMOKE`) and adds the
-//! smoke-only rule; CI runs exactly that. At full scale the verdict has
-//! not held since the median query became ≈25× cheaper than the hub
-//! queries `zipf_hot` and `hot_flood` concentrate on (ROADMAP open items).
+//! rule is printed last as `VERDICT FAILED: <run>: <rule>`. 2: usage.
+//! `--smoke` shrinks the graph, request counts and ramp segments to CI
+//! scale, adds 1 ms of service time to every request so its arrivals can
+//! be paced (see `SMOKE`), and judges the smoke-scale rules; CI runs
+//! exactly that. At full scale the verdict has not held since the median
+//! query became ≈25× cheaper than the hub keys `zipf_hot` and `hot_flood`
+//! concentrate on and than the service tail the ramp's SLO is anchored on
+//! (ROADMAP open items).
 
 use simpush::{Config, SimPush};
+use simrank_eval::mixed::MixedWorkload;
 use simrank_eval::scenario::{
-    calibrate, catalog, run_scenario, violations, Calibration, ScenarioScale,
+    calibrate, catalog, ramp_violations, run_scenario, violations, ArrivalShape, Outcomes,
+    ScenarioReport, ScenarioScale,
 };
-use simrank_graph::{gen, GraphView};
+use simrank_graph::{gen, CsrGraph, GraphView};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -41,10 +58,6 @@ struct BinScale {
     nodes: usize,
     out_deg: usize,
     epsilon: f64,
-    /// Shortest span an open loop's arrivals may be scheduled over: the
-    /// capacity the load factors scale from is capped at
-    /// `requests / min_window` (`None` = use the calibrated capacity as is).
-    min_window: Option<Duration>,
     scenario: ScenarioScale,
 }
 
@@ -52,7 +65,6 @@ const FULL: BinScale = BinScale {
     nodes: 20_000,
     out_deg: 8,
     epsilon: 0.02,
-    min_window: None,
     scenario: ScenarioScale {
         requests: 2_400,
         min_updates: 64,
@@ -63,24 +75,27 @@ const FULL: BinScale = BinScale {
         compaction_threshold: 512,
         calib_requests: 200,
         calib_clients: 8,
-        deadline_queue_factor: 4,
         top_k: 8,
+        segment: Duration::from_secs(6),
+        tick: Duration::from_millis(50),
+        service_delay: Duration::ZERO,
     },
 };
 
-/// CI scale: tiny graph, short scenarios — enough to exercise every
-/// catalog entry, the writer, admission and every verdict rule end to end
-/// in a few seconds. A query on this graph takes microseconds: scaled from
-/// the calibrated capacity the 160 arrivals would be due within 4 ms, tens
-/// of microseconds apart, which no sleeping load generator can pace — the
-/// reject rate then measures scheduler jitter, not admission (and sending
-/// more requests at that rate only measures more of it). So the smoke run
-/// spreads them over a minimum window instead.
+/// CI scale: tiny graph, short scenarios and ramp segments, fast
+/// controller tick — enough to exercise every catalog entry, the writer,
+/// admission, the controller and every verdict rule end to end in
+/// seconds. A query on this graph takes microseconds: at multiples of
+/// that capacity the 160 arrivals would be due within 4 ms, tens of
+/// microseconds apart, which no sleeping load generator can pace — the
+/// reject rate would measure scheduler jitter, not admission. So every
+/// smoke request, calibration included, costs 1 ms more service time:
+/// capacity drops to ≈1.6k q/s, measured like any other, and a 2.5× ramp
+/// segment really overloads the front-end.
 const SMOKE: BinScale = BinScale {
     nodes: 400,
     out_deg: 4,
     epsilon: 0.05,
-    min_window: Some(Duration::from_millis(100)),
     scenario: ScenarioScale {
         requests: 160,
         min_updates: 16,
@@ -91,14 +106,52 @@ const SMOKE: BinScale = BinScale {
         compaction_threshold: 16,
         calib_requests: 40,
         calib_clients: 4,
-        deadline_queue_factor: 4,
         top_k: 8,
+        segment: Duration::from_millis(800),
+        tick: Duration::from_millis(20),
+        service_delay: Duration::from_millis(1),
     },
 };
 
 const COPY_PROB: f64 = 0.75;
 const GRAPH_SEED: u64 = 7;
 const SCENARIO_SEED: u64 = 42;
+/// Answers per report replayed against a cold rebuild of their epoch.
+const REPLAY_SAMPLES: usize = 8;
+
+/// One message per sampled answer of `report` that does not reproduce bit
+/// for bit from a cold rebuild of the epoch it was served on — under any
+/// quota schedule (`tests/prop_control.rs` pins the same property under
+/// adversarial ones).
+fn replay_violations(
+    engine: &SimPush,
+    base: &CsrGraph,
+    report: &ScenarioReport,
+    top_k: usize,
+) -> Vec<String> {
+    let stream = MixedWorkload {
+        updates: report.updates.clone(),
+        queries: Vec::new(),
+    };
+    let step = (report.answers.len() / REPLAY_SAMPLES).max(1);
+    report
+        .answers
+        .iter()
+        .step_by(step)
+        .filter(|rec| {
+            let g = stream.graph_after(base, rec.epoch as usize * report.updates_per_batch);
+            engine.query_seeded(&g, rec.node).top_k(top_k) != rec.top
+        })
+        .map(|rec| {
+            format!(
+                "{}: epoch {} answer for node {} drifted from its replay",
+                report.label(),
+                rec.epoch,
+                rec.node
+            )
+        })
+        .collect()
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -119,63 +172,92 @@ fn main() -> ExitCode {
     );
 
     let sizes = &scale.scenario;
-    let measured = calibrate(&engine, &base, sizes, SCENARIO_SEED);
-    // What the scenarios scale their load and deadlines from: the measured
-    // calibration, unless arrivals at that rate would not span the minimum
-    // window — then the fastest capacity that does, with the service time
-    // that capacity implies.
-    let paceable_qps = scale
-        .min_window
-        .map(|window| sizes.requests as f64 / window.as_secs_f64())
-        .filter(|&qps| qps < measured.capacity_qps);
-    let paced = match paceable_qps {
-        Some(qps) => Calibration {
-            capacity_qps: qps,
-            mean_service: Duration::from_secs_f64(sizes.workers as f64 / qps),
-            ..measured
-        },
-        None => measured,
-    };
+    let calibration = calibrate(&engine, &base, sizes, SCENARIO_SEED);
+    let slo_p99 = calibration.slo_p99();
 
-    let mut broken = measured.violations();
-
+    let mut broken = calibration.violations(sizes);
+    let mut ramp = Vec::new();
+    // A run or segment that answered nothing has no latency sample (`-`
+    // next to a 100 % reject rate or slo_met false is unambiguous).
+    let latency = |d: Option<Duration>| d.map_or("-".to_owned(), |d| format!("{d:.3?}"));
     println!(
-        "{:<12} {:>11} {:>9} {:>8} {:>7} {:>12} {:>12}  slo_met",
+        "{:<16} {:>11} {:>9} {:>8} {:>7} {:>12} {:>12}  held",
         "scenario", "offered q/s", "q/s", "reject %", "miss %", "p50", "p99"
     );
     for (i, scenario) in catalog().iter().enumerate() {
-        let report = run_scenario(
-            &engine,
-            &base,
-            scenario,
-            sizes,
-            &paced,
-            SCENARIO_SEED + 100 + i as u64,
-        );
-        // An all-rejected scenario has no latency sample (`-` next to a
-        // 100 % reject rate is unambiguous); a closed loop has no offered
-        // rate.
-        let latency = |d: Option<Duration>| d.map_or("-".to_owned(), |d| format!("{d:.3?}"));
-        let offered = match report.offered_qps {
-            qps if qps > 0.0 => format!("{qps:.0}"),
-            _ => "-".to_owned(),
+        // The ramp runs twice: static, then with the SLO controller.
+        let is_ramp = matches!(scenario.arrivals, ArrivalShape::Ramp { .. });
+        let controllers = [None, Some(calibration.controller(sizes))];
+        for controller in controllers.into_iter().take(1 + is_ramp as usize) {
+            let seed = SCENARIO_SEED + 100 + i as u64;
+            let report = run_scenario(
+                &engine,
+                &base,
+                scenario,
+                sizes,
+                &calibration,
+                seed,
+                controller,
+            );
+            // A closed loop has no offered rate.
+            let offered = match report.offered_qps {
+                qps if qps > 0.0 => format!("{qps:.0}"),
+                _ => "-".to_owned(),
+            };
+            let run = &report.outcomes;
+            println!(
+                "{:<16} {:>11} {:>9.0} {:>8.1} {:>7.1} {:>12} {:>12}  {}",
+                report.label(),
+                offered,
+                run.throughput_qps,
+                100.0 * run.reject_rate(),
+                100.0 * run.deadline_miss_rate(),
+                latency(report.p50_latency),
+                latency(run.p99_latency),
+                run.within(&scenario.ceilings.gated(smoke))
+            );
+            broken.extend(violations(scenario, &report, smoke));
+            broken.extend(replay_violations(&engine, &base, &report, sizes.top_k));
+            if is_ramp {
+                // The pair rule reads segments and the log, not answers.
+                ramp.push(ScenarioReport {
+                    answers: Vec::new(),
+                    ..report
+                });
+            }
+        }
+    }
+
+    if let [fixed, controlled] = &ramp[..] {
+        println!("\nsegment  load |   static p99 slo_met reject % |  control p99 slo_met reject %");
+        let side = |s: &Outcomes| {
+            format!(
+                "{:>12} {:>7} {:>8.1}",
+                latency(s.p99_latency),
+                s.p99_latency.is_some_and(|p99| p99 <= slo_p99),
+                100.0 * s.reject_rate()
+            )
         };
+        for ((load_factor, f), (_, c)) in fixed.segments.iter().zip(&controlled.segments) {
+            println!("ramp    {load_factor:>4.1}x | {} | {}", side(f), side(c));
+        }
+        let log = controlled.control.clone().unwrap_or_default();
         println!(
-            "{:<12} {:>11} {:>9.0} {:>8.1} {:>7.1} {:>12} {:>12}  {}",
-            report.name,
-            offered,
-            report.throughput_qps,
-            100.0 * report.reject_rate(),
-            100.0 * report.deadline_miss_rate(),
-            latency(report.p50_latency),
-            latency(report.p99_latency),
-            report.meets(&scenario.slo)
+            "controller: {} ticks, {} tightens, {} relaxes",
+            log.ticks,
+            log.tighten_count(),
+            log.relax_count()
         );
-        broken.extend(violations(scenario, &report, smoke));
+        broken.extend(ramp_violations(fixed, controlled, slo_p99, smoke));
     }
     println!(
-        "calibration: {} requests, capacity {:.0} q/s, mean service {:.3?}; open loops paced from {:.0} q/s",
-        measured.requests, measured.capacity_qps, measured.mean_service, paced.capacity_qps
+        "calibration: {} requests, capacity {:.0} q/s, mean service {:.3?}, service p99 {:.3?}, \
+         SLO p99 {slo_p99:.3?}, deadline {:.3?}",
+        sizes.calib_requests,
+        calibration.capacity_qps,
+        calibration.mean_service,
+        calibration.service_p99,
+        calibration.deadline(sizes)
     );
 
     simrank_bench::verdict_exit_code(&broken)

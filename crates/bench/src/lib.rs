@@ -1,5 +1,5 @@
 //! Shared plumbing for the figure/table binaries (and the exit contract
-//! of the two verdict bins, [`verdict_exit_code`]).
+//! of the verdict bin, [`verdict_exit_code`]).
 //!
 //! The paper's Figures 4, 5 and 6 are three views (error/time,
 //! precision/time, error/memory) of the *same* experiment: every method ×
@@ -22,7 +22,7 @@ use simrank_eval::{datasets, report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// How the two verdict bins (`scenario_serve`, `elastic_serve`) end: one
+/// How the verdict bin (`scenario_serve`) ends: one
 /// `VERDICT FAILED: <rule>` line per violated rule — the last thing on
 /// stdout, so a CI log ends on the reason — and exit code 1, or exit code
 /// 0 when no rule is violated.

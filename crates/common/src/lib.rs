@@ -19,9 +19,9 @@
 //!   accounting.
 //! * [`seeds`] — SplitMix64 seed derivation so that parallel samplers and
 //!   dataset generators are deterministic from a single master seed.
-//! * [`stats`] — the shared nearest-rank percentile helper every latency
-//!   report (scenario reports, the elastic ramp) goes through, so `p95`/`p99`
-//!   mean the same thing everywhere.
+//! * [`stats`] — the shared nearest-rank latency summary every scenario
+//!   report (whole runs, ramp segments, the calibration) goes through, so
+//!   `p50`/`p99` mean the same thing everywhere.
 //! * [`workspace`] — [`EpochVec`], an epoch-stamped dense scratch vector
 //!   with O(1) logical clear; the building block of the reusable per-query
 //!   workspaces that let a steady-state query loop allocate nothing.

@@ -37,7 +37,8 @@
 //!
 //! Every actuation is appended to a [`ControlLog`] with the two inputs
 //! the decision read, so a run's control decisions can be replayed and
-//! audited offline (`elastic_serve` prints and judges the summary).
+//! audited offline (`scenario_serve` prints and judges the summary of
+//! its controlled `ramp` run).
 
 use crate::frontend::FrontendObserver;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -167,7 +168,7 @@ impl HistogramSnapshot {
     /// Nearest-rank percentile estimate, reported as the **upper bound**
     /// of the bucket the rank lands in (conservative: never understates).
     /// `None` on an empty interval, same contract as
-    /// [`duration_percentile`](simrank_common::stats::duration_percentile).
+    /// [`LatencySummary`](simrank_common::stats::LatencySummary).
     ///
     /// # Panics
     /// Panics if `pct > 100`.
@@ -195,7 +196,8 @@ impl HistogramSnapshot {
 
 /// Knobs for the [`Controller`]. The defaults are placeholders for toy
 /// runs; real deployments derive `target_sojourn` from a calibrated mean
-/// service time the way `elastic_serve` does.
+/// service time the way the scenario layer's `Calibration::controller`
+/// does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControllerOptions {
     /// Sampling/actuation interval of the controller thread.

@@ -161,9 +161,10 @@ pub struct FrontendOptions {
     /// How many top-scoring nodes each answer keeps.
     pub top_k: usize,
     /// Fault-injection knob: extra service delay a worker sleeps per
-    /// request *after* the deadline check. Zero (the default) in any real
-    /// deployment; tests use it to age the queue deterministically and the
-    /// saturation bench to model slow backends.
+    /// request *after* the deadline check, counted in the response's
+    /// service time. Zero (the default) in any real deployment; tests use
+    /// it to age the queue deterministically and the smoke-scale scenarios
+    /// to give tiny-graph queries a paceable cost.
     pub synthetic_service_delay: Duration,
     /// Shared hot-answer cache ([`AnswerCache`]). When set, workers probe
     /// it at the store's [version hint](SnapshotSource::version_hint)
@@ -261,7 +262,7 @@ impl FrontendOptionsBuilder {
         self
     }
 
-    /// Fault-injection service delay (tests and saturation benches).
+    /// Fault-injection service delay (tests and smoke-scale scenarios).
     pub fn synthetic_service_delay(mut self, delay: Duration) -> Self {
         self.opts.synthetic_service_delay = delay;
         self
@@ -318,7 +319,8 @@ pub struct FrontendResponse {
     pub epoch: u64,
     /// Time the request spent queued before a worker dequeued it.
     pub queue_wait: Duration,
-    /// Time the worker spent answering (snapshot acquisition + query).
+    /// Time the worker spent answering (snapshot acquisition + query,
+    /// plus any [synthetic delay](FrontendOptions::synthetic_service_delay)).
     pub service: Duration,
     /// Top-`k` similar nodes (per [`FrontendOptions::top_k`]).
     pub top: Vec<(NodeId, f64)>,
@@ -881,10 +883,10 @@ fn worker_loop<S: SnapshotSource + ?Sized>(source: &S, ctx: WorkerContext) {
                 continue;
             }
         }
+        let service_start = Instant::now();
         if !ctx.synthetic_delay.is_zero() {
             std::thread::sleep(ctx.synthetic_delay);
         }
-        let service_start = Instant::now();
         let hint = source.version_hint();
         let key = CacheKey {
             node: request.node,
@@ -1080,7 +1082,9 @@ mod tests {
         let second = frontend.try_submit(2).unwrap();
         let third = frontend.try_submit(3).unwrap();
 
-        assert!(matches!(first.wait(), QueryOutcome::Answered(_)));
+        // The synthetic delay counts as service time.
+        assert!(matches!(first.wait(),
+            QueryOutcome::Answered(r) if r.service >= Duration::from_millis(60)));
         for (ticket, node) in [(second, 2), (third, 3)] {
             match ticket.wait() {
                 QueryOutcome::DeadlineMissed {

@@ -17,7 +17,8 @@
 //! * [`zipf`] — deterministic seeded Zipf key sampling for skewed
 //!   workloads.
 //! * [`scenario`] — the named workload-scenario matrix (`read_heavy`,
-//!   `zipf_hot`, `hot_flood`, …) driven through the real `Frontend`.
+//!   `zipf_hot`, `hot_flood`, the static-vs-controlled `ramp`, …) driven
+//!   through the real `Frontend`.
 //! * [`runner`] — per-dataset experiment driver: builds indexes, times
 //!   queries, spills score vectors, pools ground truth, computes metrics,
 //!   applies the paper's resource-exclusion rules.
@@ -42,7 +43,7 @@ pub use methods::{method_grid, MethodFamily, MethodSetting};
 pub use mixed::{mixed_workload, MixedWorkload};
 pub use runner::{run_dataset, ExperimentConfig, MethodResult};
 pub use scenario::{
-    calibrate, catalog, run_scenario, ArrivalShape, Calibration, KeyDist, Scenario, ScenarioReport,
-    ScenarioScale, SloTarget,
+    calibrate, catalog, run_scenario, ArrivalShape, Calibration, Ceilings, KeyDist, Scenario,
+    ScenarioReport, ScenarioScale,
 };
 pub use zipf::{ZipfDistribution, ZipfKeys};

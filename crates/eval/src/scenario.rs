@@ -4,13 +4,13 @@
 //! An offered-load sweep maps *how much* traffic the front-end survives;
 //! this module fixes *what shape* that traffic has. A
 //! [`Scenario`] is a declarative description — traffic mix, key
-//! distribution, arrival shape, SLO targets — and [`run_scenario`] drives
-//! it through the **real** [`Frontend`] (bounded admission queue, worker
-//! pool, deadlines, a live update writer), never a bespoke loop, so every
-//! number a scenario reports is a number the production admission path
-//! produced.
+//! distribution, arrival shape, outcome ceilings — and [`run_scenario`]
+//! drives it through the **real** [`Frontend`] (bounded admission queue,
+//! worker pool, deadlines, a live update writer, optionally the SLO
+//! [`Controller`]), never a bespoke loop, so every number a scenario
+//! reports is a number the production admission path produced.
 //!
-//! The [`catalog`] is the YCSB-style matrix the roadmap calls for, six
+//! The [`catalog`] is the YCSB-style matrix the roadmap calls for, seven
 //! named scenarios every later optimization must hold up against:
 //!
 //! | scenario | models |
@@ -21,6 +21,7 @@
 //! | `bursty` | diurnal/thundering-herd arrivals at constant mean rate |
 //! | `batch_scan` | closed-loop bulk clients scanning the key space |
 //! | `hot_flood` | adversarial repeated floods of the highest-degree nodes, offered past capacity |
+//! | `ramp` | a 0.5× → 2.5× capacity ramp, run static and under the SLO controller |
 //!
 //! Rates are expressed as **multiples of calibrated capacity**
 //! ([`calibrate`]: a closed-loop run through the same front-end), so
@@ -28,27 +29,43 @@
 //! saturation knee sits at 1.0 by construction. Every scenario is
 //! seed-deterministic end to end: same `(graph, scenario, scale, seed)` →
 //! the same update stream, the same key sequence and the same arrival
-//! schedule, byte for byte. Answers stay replayable: each one records the
-//! epoch it was served from, and `tests/integration_serve.rs` pins that a
-//! cold rebuild of that epoch reproduces it bit for bit.
+//! schedule, byte for byte — so the `ramp` run with and without a
+//! controller sees identical traffic. Answers stay replayable: each one
+//! records the epoch it was served from, and `tests/integration_serve.rs`
+//! pins that a cold rebuild of that epoch reproduces it bit for bit.
+//!
+//! Each run is judged by [`violations`] (shape rules and the scenario's
+//! [`Ceilings`]); the `ramp` pair is judged once more by
+//! [`ramp_violations`], the controlled-vs-static rule.
 
 use crate::mixed::{mixed_workload, open_loop_arrivals, MixedWorkload};
 use crate::zipf::ZipfKeys;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simpush::{
-    AnswerCache, AnswerCacheOptions, Frontend, FrontendOptions, QueryOutcome, SimPush, Ticket,
+    ControlLog, Controller, ControllerOptions, Frontend, FrontendOptions, QueryOutcome, SimPush,
+    Ticket,
 };
 use simrank_common::stats::LatencySummary;
 use simrank_common::NodeId;
 use simrank_graph::{CsrGraph, GraphStore, GraphUpdate, GraphView};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// Fraction of each ramp segment's arrivals whose answers are left out of
+/// its steady-state p99, so the controller's convergence transient (and
+/// the static queue's fill transient) don't pollute it. Applied
+/// identically to both sides.
+const WARMUP_FRACTION: f64 = 0.25;
+/// The load factor from which a ramp segment carries the
+/// controlled-vs-static rule of [`ramp_violations`].
+const VERDICT_LOAD: f64 = 1.5;
 
 /// How a scenario picks query keys.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDist {
-    /// Uniform over the node universe — the no-skew baseline.
+    /// Uniform over the node universe — the no-skew baseline, and the
+    /// distribution [`calibrate`] measures.
     Uniform,
     /// Zipf-distributed hotness with the given exponent (rank 0 hottest),
     /// ranks scrambled across the id space — see [`crate::zipf`].
@@ -63,10 +80,9 @@ pub enum KeyDist {
     /// **Pinned behavior:** the hot set is computed once, from the
     /// scenario's *initial* snapshot, and never recomputed as the paced
     /// writer mutates degrees mid-run. This keeps the key sequence a pure
-    /// function of `(base, scenario, seed)` — so cached-run hit rates are
-    /// seed-deterministic across the writer's epochs — and models the
-    /// realistic adversary, who floods the keys that were hot when the
-    /// flood started. The regression test
+    /// function of `(base, scenario, seed)` and models the realistic
+    /// adversary, who floods the keys that were hot when the flood
+    /// started. The regression test
     /// `hot_flood_hot_set_is_pinned_to_the_initial_snapshot` guards this.
     HotSet {
         /// How many top-degree nodes the flood cycles through.
@@ -97,28 +113,53 @@ pub enum ArrivalShape {
         /// Number of concurrent clients.
         clients: usize,
     },
+    /// Open-loop segments back to back through one store and one
+    /// front-end, one per load factor, each spanning
+    /// [`ScenarioScale::segment`]; the report carries each segment's
+    /// [`Outcomes`].
+    Ramp {
+        /// Offered rate of each segment, as multiples of calibrated
+        /// capacity.
+        load_factors: &'static [f64],
+        /// The [`open_loop_arrivals`] burstiness knob of every segment.
+        burstiness: f64,
+    },
 }
 
-/// Per-scenario service-level objective, evaluated on the report.
-///
-/// Targets are part of the scenario *description*: they state what
-/// "healthy" means for that traffic shape (a flood is healthy when it
-/// sheds load cheaply; a read-heavy workload is healthy only when almost
-/// nothing is shed). `scenario_serve` prints whether each run met them
-/// (`slo_met`); what fails a run is the looser per-name ceiling of
-/// [`violations`].
+/// The outcome ceilings a scenario's run is gated on ([`violations`]):
+/// conservative per-shape ranges — a closed-loop scan can never reject,
+/// below-knee open loops must shed almost nothing, a flood must still
+/// answer something.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloTarget {
-    /// Highest acceptable fraction of submissions rejected at admission.
+pub struct Ceilings {
+    /// Highest allowed fraction of submissions rejected at admission.
     pub max_reject_rate: f64,
-    /// Highest acceptable fraction of accepted requests expiring in queue.
+    /// Highest allowed fraction of accepted requests expiring in queue.
     pub max_deadline_miss_rate: f64,
+}
+
+impl Ceilings {
+    /// The ceilings as gated at the given scale. The scenario deadlines
+    /// are generous vs. worst-case queueing, so even at CI (`smoke`) scale
+    /// overload must surface as cheap rejection, never as a majority of
+    /// accepted-then-expired requests — that would mean the deadline
+    /// machinery is broken.
+    pub fn gated(self, smoke: bool) -> Self {
+        Self {
+            max_deadline_miss_rate: if smoke {
+                self.max_deadline_miss_rate.min(0.5)
+            } else {
+                self.max_deadline_miss_rate
+            },
+            ..self
+        }
+    }
 }
 
 /// A named, declarative workload scenario. Build them via [`catalog`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Stable snake_case name ([`violations`] keys its ceilings on it).
+    /// Stable snake_case name.
     pub name: &'static str,
     /// One-line description of what the scenario models.
     pub about: &'static str,
@@ -132,13 +173,13 @@ pub struct Scenario {
     pub updates_per_query: f64,
     /// Fraction of those updates that are removals.
     pub remove_fraction: f64,
-    /// What "healthy" means for this scenario.
-    pub slo: SloTarget,
+    /// The outcome ceilings its runs are gated on.
+    pub ceilings: Ceilings,
 }
 
-/// The named-scenario catalog: the six workload shapes the serving stack
-/// is regression-gated on. Names are stable — the outcome ceilings of
-/// [`violations`] and the catalog unit test key on them.
+/// The named-scenario catalog: the seven workload shapes the serving stack
+/// is regression-gated on. Names are stable — the bin's table and the
+/// catalog unit test key on them.
 pub fn catalog() -> Vec<Scenario> {
     vec![
         Scenario {
@@ -151,9 +192,9 @@ pub fn catalog() -> Vec<Scenario> {
             },
             updates_per_query: 0.02,
             remove_fraction: 0.3,
-            slo: SloTarget {
-                max_reject_rate: 0.05,
-                max_deadline_miss_rate: 0.01,
+            ceilings: Ceilings {
+                max_reject_rate: 0.25,
+                max_deadline_miss_rate: 0.1,
             },
         },
         Scenario {
@@ -166,9 +207,9 @@ pub fn catalog() -> Vec<Scenario> {
             },
             updates_per_query: 2.0,
             remove_fraction: 0.3,
-            slo: SloTarget {
-                max_reject_rate: 0.05,
-                max_deadline_miss_rate: 0.01,
+            ceilings: Ceilings {
+                max_reject_rate: 0.25,
+                max_deadline_miss_rate: 1.0,
             },
         },
         Scenario {
@@ -177,17 +218,16 @@ pub fn catalog() -> Vec<Scenario> {
             keys: KeyDist::Zipf { exponent: 1.2 },
             // Skew shifts the knee: the hot keys are not average-cost
             // keys, so the same nominal load sits closer to saturation
-            // than a uniform mix would. Offered load and the reject
-            // target both acknowledge that.
+            // than a uniform mix would; the offered load acknowledges it.
             arrivals: ArrivalShape::OpenLoop {
                 load_factor: 0.6,
                 burstiness: 0.1,
             },
             updates_per_query: 0.1,
             remove_fraction: 0.3,
-            slo: SloTarget {
-                max_reject_rate: 0.15,
-                max_deadline_miss_rate: 0.01,
+            ceilings: Ceilings {
+                max_reject_rate: 0.25,
+                max_deadline_miss_rate: 1.0,
             },
         },
         Scenario {
@@ -200,9 +240,9 @@ pub fn catalog() -> Vec<Scenario> {
             },
             updates_per_query: 0.1,
             remove_fraction: 0.3,
-            slo: SloTarget {
-                max_reject_rate: 0.35,
-                max_deadline_miss_rate: 0.05,
+            ceilings: Ceilings {
+                max_reject_rate: 0.6,
+                max_deadline_miss_rate: 1.0,
             },
         },
         Scenario {
@@ -212,7 +252,7 @@ pub fn catalog() -> Vec<Scenario> {
             arrivals: ArrivalShape::ClosedLoop { clients: 4 },
             updates_per_query: 0.05,
             remove_fraction: 0.3,
-            slo: SloTarget {
+            ceilings: Ceilings {
                 max_reject_rate: 0.0,
                 max_deadline_miss_rate: 0.0,
             },
@@ -227,9 +267,27 @@ pub fn catalog() -> Vec<Scenario> {
             },
             updates_per_query: 0.1,
             remove_fraction: 0.3,
-            slo: SloTarget {
-                max_reject_rate: 0.9,
-                max_deadline_miss_rate: 0.1,
+            ceilings: Ceilings {
+                max_reject_rate: 0.95,
+                max_deadline_miss_rate: 1.0,
+            },
+        },
+        Scenario {
+            name: "ramp",
+            about: "0.5x to 2.5x capacity ramp; run static and with the SLO controller",
+            keys: KeyDist::Uniform,
+            // Mildly bursty. Above the knee the static queue pins full;
+            // the pair is judged by `ramp_violations`, so a run on its own
+            // has no reject or expiry ceiling.
+            arrivals: ArrivalShape::Ramp {
+                load_factors: &[0.5, 1.0, 1.5, 2.0, 2.5],
+                burstiness: 0.1,
+            },
+            updates_per_query: 0.01,
+            remove_fraction: 0.3,
+            ceilings: Ceilings {
+                max_reject_rate: 1.0,
+                max_deadline_miss_rate: 1.0,
             },
         },
     ]
@@ -239,7 +297,8 @@ pub fn catalog() -> Vec<Scenario> {
 /// `--smoke` flag swaps one of these for a smaller one.
 #[derive(Debug, Clone)]
 pub struct ScenarioScale {
-    /// Requests per scenario (open-loop arrival count / closed-loop total).
+    /// Requests per scenario (open-loop arrival count / closed-loop
+    /// total); a ramp sizes its segments by [`segment`](Self::segment).
     pub requests: usize,
     /// Floor on the update-stream length (so even `read_heavy` exercises
     /// the writer at least one batch's worth).
@@ -258,12 +317,20 @@ pub struct ScenarioScale {
     pub calib_requests: usize,
     /// Concurrent clients in the calibration run.
     pub calib_clients: usize,
-    /// Open-loop deadline = `mean service × queue_capacity × this factor`
-    /// — generous vs. worst-case queueing, so below the knee nothing
-    /// expires and overload is *rejected*, not accepted-then-dropped.
-    pub deadline_queue_factor: u32,
     /// Top-k size each answer keeps.
     pub top_k: usize,
+    /// Span of one ramp segment (at least 32 arrivals).
+    pub segment: Duration,
+    /// The SLO controller's tick ([`Calibration::controller`]); a segment
+    /// spans at least 16 of them.
+    pub tick: Duration,
+    /// Extra service time per request, calibration included
+    /// ([`FrontendOptions::synthetic_service_delay`]). Zero at full scale.
+    /// A tiny graph answers in microseconds, so arrivals at multiples of
+    /// its capacity would be due microseconds apart — closer than a
+    /// sleeping load generator can pace; this gives every request a cost
+    /// that can be paced, and the load factors stay real.
+    pub service_delay: Duration,
 }
 
 /// Measured service capacity the scenario load factors scale from.
@@ -271,27 +338,62 @@ pub struct ScenarioScale {
 pub struct Calibration {
     /// Closed-loop achieved throughput through the front-end.
     pub capacity_qps: f64,
-    /// Mean per-request service time (snapshot acquisition + query).
+    /// Mean per-request service time (snapshot acquisition + query +
+    /// [`ScenarioScale::service_delay`]).
     pub mean_service: Duration,
-    /// Requests the calibration run answered.
-    pub requests: usize,
+    /// Nearest-rank p99 of the per-request service times.
+    pub service_p99: Duration,
 }
 
 impl Calibration {
-    /// The verdict rules a calibration breaks (empty = usable): a positive
-    /// mean service time and a capacity of at least 0.1 q/s.
-    pub fn violations(&self) -> Vec<String> {
-        let mut broken = Vec::new();
-        if self.mean_service.is_zero() {
-            broken.push("calibration: mean service time is zero".to_owned());
+    /// The deadline of every open-loop request: `4 × queue_capacity ×`
+    /// mean service — generous vs. worst-case queueing, so below the knee
+    /// nothing expires and overload is *rejected*, not accepted-then-dropped.
+    pub fn deadline(&self, scale: &ScenarioScale) -> Duration {
+        self.mean_service * 4 * scale.queue_capacity as u32
+    }
+
+    /// The p99 latency objective a controlled ramp is held to, anchored
+    /// twice: 2× the p99 *service* time (one tail service plus equal
+    /// queueing headroom — no controller can shrink the service tail
+    /// itself) with a floor of 16× mean service (the p99 of a small
+    /// calibration sample is noisy; the mean is not). Both sit far below
+    /// what a pinned-full static queue imposes (`queue_capacity ×
+    /// mean_service / workers`), so bounding the queue — which shedding
+    /// can do — achieves it, and the static configuration above the knee
+    /// does not.
+    pub fn slo_p99(&self) -> Duration {
+        (self.service_p99 * 2).max(self.mean_service * 16)
+    }
+
+    /// The SLO controller a ramp runs with: CoDel target 2× mean service,
+    /// ticking every [`ScenarioScale::tick`], default hysteresis.
+    pub fn controller(&self, scale: &ScenarioScale) -> ControllerOptions {
+        ControllerOptions {
+            tick: scale.tick,
+            target_sojourn: self.mean_service * 2,
+            ..ControllerOptions::default()
         }
-        if self.capacity_qps < 0.1 {
-            broken.push(format!(
-                "calibration: capacity {:.3} q/s < 0.1",
-                self.capacity_qps
-            ));
-        }
-        broken
+    }
+
+    /// The verdict rules a calibration breaks (empty = usable): positive
+    /// mean and p99 service times, a capacity of at least 0.1 q/s and a
+    /// deadline of at least 1 µs. The SLO (≥ 16× mean service) and the
+    /// controller target (2× mean) are positive whenever the mean is.
+    pub fn violations(&self, scale: &ScenarioScale) -> Vec<String> {
+        [
+            (!self.mean_service.is_zero(), "mean service time is zero"),
+            (!self.service_p99.is_zero(), "p99 service time is zero"),
+            (self.capacity_qps >= 0.1, "capacity < 0.1 q/s"),
+            (
+                self.deadline(scale) >= Duration::from_micros(1),
+                "deadline < 1 µs",
+            ),
+        ]
+        .iter()
+        .filter(|(holds, _)| !holds)
+        .map(|(_, rule)| format!("calibration: {rule}"))
+        .collect()
     }
 }
 
@@ -323,23 +425,22 @@ pub fn calibrate(
             .queue_capacity(scale.queue_capacity)
             .default_deadline(None)
             .top_k(scale.top_k)
+            .synthetic_service_delay(scale.service_delay)
             .build(),
     );
     let start = Instant::now();
     let outcomes = frontend.run_closed_loop(&keys, scale.calib_clients, Duration::from_secs(60));
     let wall = start.elapsed();
     frontend.shutdown();
-    let mut service_total = Duration::ZERO;
-    for outcome in &outcomes {
-        match outcome {
-            Ok(QueryOutcome::Answered(r)) => service_total += r.service,
-            other => panic!("calibration request not answered: {other:?}"),
-        }
-    }
+    let services = outcomes.iter().map(|outcome| match outcome {
+        Ok(QueryOutcome::Answered(r)) => r.service,
+        other => panic!("calibration request not answered: {other:?}"),
+    });
+    let service = LatencySummary::from_samples(services);
     Calibration {
         capacity_qps: scale.calib_requests as f64 / wall.as_secs_f64(),
-        mean_service: service_total / scale.calib_requests as u32,
-        requests: scale.calib_requests,
+        mean_service: service.mean(),
+        service_p99: service.p99().unwrap_or_default(),
     }
 }
 
@@ -357,22 +458,11 @@ pub struct AnswerRecord {
     pub top: Vec<(NodeId, f64)>,
 }
 
-/// Everything one scenario run produced: SLO metrics plus the replayable
-/// answer records and the exact update stream that was committed.
+/// What one run, or one ramp segment, did with the requests it drove.
 #[derive(Debug, Clone)]
-pub struct ScenarioReport {
-    /// The scenario's stable name.
-    pub name: &'static str,
+pub struct Outcomes {
     /// Requests driven at the front-end (accepted + rejected).
     pub requests: usize,
-    /// Planned offered rate (open loop; `0.0` for closed loop, which has
-    /// no offered rate distinct from its achieved one).
-    pub offered_qps: f64,
-    /// The committed update stream (exactly what the writer applied, in
-    /// order) — the replay handle for [`AnswerRecord`] epochs.
-    pub updates: Vec<GraphUpdate>,
-    /// Updates per committed batch (epoch `e` ⇔ first `e · batch` updates).
-    pub updates_per_batch: usize,
     /// Requests accepted into the queue.
     pub accepted: u64,
     /// Submissions rejected at admission (backpressure).
@@ -381,25 +471,16 @@ pub struct ScenarioReport {
     pub answered: u64,
     /// Accepted requests that expired in queue.
     pub deadline_misses: u64,
-    /// Answered requests per wall-clock second.
+    /// Answered requests per second: of wall-clock time for a run, of
+    /// scheduled span for a ramp segment.
     pub throughput_qps: f64,
-    /// Median end-to-end latency (queue wait + service); `None` when
-    /// nothing was answered.
-    pub p50_latency: Option<Duration>,
-    /// 99th-percentile end-to-end latency; `None` when nothing answered.
+    /// 99th-percentile end-to-end latency (queue wait + service) — for a
+    /// ramp segment, of the answers to the arrivals after its warm-up
+    /// quarter (steady state); `None` when none was answered.
     pub p99_latency: Option<Duration>,
-    /// Epochs published by the end of the run.
-    pub final_epoch: u64,
-    /// Answers served straight from the [`AnswerCache`] (0 when the run
-    /// was uncached).
-    pub cache_hits: u64,
-    /// Answers that probed the cache and recomputed (0 when uncached).
-    pub cache_misses: u64,
-    /// Replayable records of every answered request, in submission order.
-    pub answers: Vec<AnswerRecord>,
 }
 
-impl ScenarioReport {
+impl Outcomes {
     /// Fraction of submissions rejected at admission.
     pub fn reject_rate(&self) -> f64 {
         if self.requests == 0 {
@@ -416,20 +497,101 @@ impl ScenarioReport {
         self.deadline_misses as f64 / self.accepted as f64
     }
 
-    /// Whether the run met `slo` (reject and miss rates both inside their
-    /// targets).
-    pub fn meets(&self, slo: &SloTarget) -> bool {
-        self.reject_rate() <= slo.max_reject_rate
-            && self.deadline_miss_rate() <= slo.max_deadline_miss_rate
+    /// Whether reject and miss rates are both at or under `ceilings` —
+    /// the same comparison [`violations`] gates on.
+    pub fn within(&self, ceilings: &Ceilings) -> bool {
+        self.ceiling_rules(ceilings).iter().all(|(holds, _)| *holds)
     }
 
-    /// Fraction of answers served from the cache; 0 for uncached runs.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / probes as f64
+    /// The two outcome-ceiling rules: reject and miss rates at or under
+    /// `ceilings`.
+    fn ceiling_rules(&self, ceilings: &Ceilings) -> [(bool, String); 2] {
+        let (reject, miss) = (self.reject_rate(), self.deadline_miss_rate());
+        let (max_reject, max_miss) = (ceilings.max_reject_rate, ceilings.max_deadline_miss_rate);
+        [
+            (
+                reject <= max_reject,
+                format!("reject_rate {reject:.4} > allowed maximum {max_reject}"),
+            ),
+            (
+                miss <= max_miss,
+                format!("deadline_miss_rate {miss:.4} > allowed maximum {max_miss}"),
+            ),
+        ]
+    }
+
+    /// The counter rules every run and every ramp segment obeys: it
+    /// answered at a positive rate with a p99 sample, and its counters are
+    /// consistent.
+    fn rules(&self) -> [(bool, String); 5] {
+        let Self {
+            requests,
+            accepted,
+            rejected,
+            answered,
+            deadline_misses,
+            throughput_qps,
+            p99_latency,
+        } = self;
+        [
+            (*answered >= 1, "answered nothing".to_owned()),
+            (
+                *throughput_qps >= 0.1,
+                format!("throughput {throughput_qps:.3} q/s < 0.1"),
+            ),
+            (
+                p99_latency.is_some_and(|p99| !p99.is_zero()),
+                "no p99 latency sample".to_owned(),
+            ),
+            (
+                *rejected <= *requests as u64,
+                format!("rejected {rejected} > requests {requests}"),
+            ),
+            (
+                *deadline_misses <= *accepted,
+                format!("deadline_misses {deadline_misses} > accepted {accepted}"),
+            ),
+        ]
+    }
+}
+
+/// Everything one scenario run produced: SLO metrics plus the replayable
+/// answer records and the exact update stream that was committed.
+#[derive(Debug, Clone)]
+pub struct ScenarioReport {
+    /// The scenario's stable name.
+    pub name: &'static str,
+    /// Planned mean offered rate (open loop and ramp; `0.0` for closed
+    /// loop, which has no offered rate distinct from its achieved one).
+    pub offered_qps: f64,
+    /// The committed update stream (exactly what the writer applied, in
+    /// order) — the replay handle for [`AnswerRecord`] epochs.
+    pub updates: Vec<GraphUpdate>,
+    /// Updates per committed batch (epoch `e` ⇔ first `e · batch` updates).
+    pub updates_per_batch: usize,
+    /// The whole run's counters, throughput and p99 latency.
+    pub outcomes: Outcomes,
+    /// Median end-to-end latency; `None` when nothing was answered.
+    pub p50_latency: Option<Duration>,
+    /// Epochs published by the end of the run.
+    pub final_epoch: u64,
+    /// Replayable records of every answered request, in submission order.
+    pub answers: Vec<AnswerRecord>,
+    /// `(load factor, outcomes)` of each ramp segment, in order, from the
+    /// outcomes of its arrivals (empty unless the scenario is an
+    /// [`ArrivalShape::Ramp`]).
+    pub segments: Vec<(f64, Outcomes)>,
+    /// The controller's decisions, when the run had one.
+    pub control: Option<ControlLog>,
+}
+
+impl ScenarioReport {
+    /// The run's name in tables and verdicts: the scenario name, marked
+    /// when a controller was attached.
+    pub fn label(&self) -> String {
+        match self.control {
+            Some(_) => format!("{} controlled", self.name),
+            None => self.name.to_owned(),
         }
     }
 }
@@ -439,70 +601,105 @@ impl ScenarioReport {
 ///
 /// *Shape rules*, every scenario: the run drove requests and updates,
 /// published an epoch, answered at a positive rate with a p99 sample, and
-/// its counters are consistent. *Outcome ceilings*, keyed on the scenario
-/// name: conservative per-shape ranges (a closed-loop scan can never
-/// reject; below-knee open loops must shed almost nothing; a flood must
-/// still answer something) — deliberately looser than the scenario's own
-/// [`SloTarget`], which is reported, not gated. *Smoke only*: the
-/// scenario deadlines are generous vs. worst-case queueing, so even at CI
-/// scale overload must surface as cheap rejection, never as a majority of
-/// accepted-then-expired requests — that would mean the deadline
-/// machinery is broken.
+/// its counters are consistent — and so does every ramp segment, on its
+/// steady-state p99. *Outcome ceilings*: the scenario's [`Ceilings`], as
+/// [`gated`](Ceilings::gated) at the run's scale.
 pub fn violations(scenario: &Scenario, report: &ScenarioReport, smoke: bool) -> Vec<String> {
-    let (max_reject, max_miss): (f64, f64) = match scenario.name {
-        "read_heavy" => (0.25, 0.1),
-        "update_heavy" | "zipf_hot" => (0.25, 1.0),
-        "bursty" => (0.6, 1.0),
-        "batch_scan" => (0.0, 0.0),
-        "hot_flood" => (0.95, 1.0),
-        _ => (1.0, 1.0),
-    };
-    let max_miss = if smoke { max_miss.min(0.5) } else { max_miss };
-    let (reject, miss) = (report.reject_rate(), report.deadline_miss_rate());
+    let run = &report.outcomes;
     let rules = [
-        (report.requests >= 1, "drove no requests".to_owned()),
+        (run.requests >= 1, "drove no requests".to_owned()),
         (
             !report.updates.is_empty(),
             "committed no updates".to_owned(),
         ),
         (report.final_epoch >= 1, "published no epoch".to_owned()),
-        (report.answered >= 1, "answered nothing".to_owned()),
-        (
-            report.throughput_qps >= 0.1,
-            format!("throughput {:.3} q/s < 0.1", report.throughput_qps),
-        ),
-        (
-            report.p99_latency.is_some_and(|p99| !p99.is_zero()),
-            "no p99 latency sample".to_owned(),
-        ),
-        (
-            report.rejected <= report.requests as u64,
-            format!(
-                "rejected {} > requests {}",
-                report.rejected, report.requests
-            ),
-        ),
-        (
-            report.deadline_misses <= report.accepted,
-            format!(
-                "deadline_misses {} > accepted {}",
-                report.deadline_misses, report.accepted
-            ),
-        ),
-        (
-            reject <= max_reject,
-            format!("reject_rate {reject:.4} > allowed maximum {max_reject}"),
-        ),
-        (
-            miss <= max_miss,
-            format!("deadline_miss_rate {miss:.4} > allowed maximum {max_miss}"),
-        ),
-    ];
-    rules
-        .into_iter()
+    ]
+    .into_iter()
+    .chain(run.rules())
+    .chain(run.ceiling_rules(&scenario.ceilings.gated(smoke)));
+    let label = report.label();
+    let mut broken: Vec<String> = rules
         .filter(|(holds, _)| !holds)
-        .map(|(_, broken)| format!("{}: {broken}", scenario.name))
-        .collect()
+        .map(|(_, rule)| format!("{label}: {rule}"))
+        .collect();
+    for (load_factor, segment) in &report.segments {
+        broken.extend(
+            segment
+                .rules()
+                .into_iter()
+                .filter(|(holds, _)| !holds)
+                .map(|(_, rule)| format!("{label} {load_factor:.1}x: {rule}")),
+        );
+    }
+    broken
+}
+
+/// The controlled-vs-static rule of a `ramp` run both ways on the same
+/// seed, one message per broken part; empty means it holds.
+///
+/// Only segments offered at ≥ 1.5× capacity carry it, and
+/// there must be one. On each, a **full** run must show the controlled
+/// side meeting `slo_p99` (steady-state p99 at or under it) that the
+/// static side misses — a static side that meets it means the ramp is not
+/// saturating and proves nothing — with controlled p99 no worse than
+/// static. A `smoke` run on a CI box is too noisy for an absolute SLO, so
+/// there only the sign of the effect is pinned: controlled p99 at most
+/// 1.5× static, and at least one tighten. At both scales the controller
+/// must have ticked.
+pub fn ramp_violations(
+    fixed: &ScenarioReport,
+    controlled: &ScenarioReport,
+    slo_p99: Duration,
+    smoke: bool,
+) -> Vec<String> {
+    let mut broken = Vec::new();
+    let high: Vec<_> = fixed
+        .segments
+        .iter()
+        .zip(&controlled.segments)
+        .filter(|((load_factor, _), _)| *load_factor >= VERDICT_LOAD - 1e-9)
+        .collect();
+    if high.is_empty() {
+        broken.push(format!("no ramp segment reaches {VERDICT_LOAD}x load"));
+    }
+    let meets = |seg: &Outcomes| seg.p99_latency.is_some_and(|p99| p99 <= slo_p99);
+    for ((load_factor, f), (_, c)) in high {
+        let at = format!("ramp {load_factor:.1}x");
+        let fixed_p99 = f.p99_latency.unwrap_or_default();
+        let controlled_p99 = c.p99_latency.unwrap_or_default();
+        if smoke {
+            if controlled_p99.as_secs_f64() > 1.5 * fixed_p99.as_secs_f64() {
+                broken.push(format!(
+                    "{at}: controlled p99 {controlled_p99:.3?} exceeds 1.5x static p99 \
+                     {fixed_p99:.3?} — the control plane is not helping"
+                ));
+            }
+            continue;
+        }
+        if controlled_p99 > fixed_p99 {
+            broken.push(format!(
+                "{at}: controlled p99 {controlled_p99:.3?} exceeds static p99 {fixed_p99:.3?}"
+            ));
+        }
+        if !meets(c) {
+            broken.push(format!(
+                "{at}: controlled run misses the p99 SLO ({controlled_p99:.3?} > {slo_p99:.3?})"
+            ));
+        }
+        if meets(f) {
+            broken.push(format!(
+                "{at}: static run meets the p99 SLO — the ramp is not saturating and proves nothing"
+            ));
+        }
+    }
+    let log = controlled.control.clone().unwrap_or_default();
+    if log.ticks == 0 {
+        broken.push("controller never ticked".to_owned());
+    }
+    if smoke && log.tighten_count() == 0 {
+        broken.push("controller never tightened under a 2.5x overload ramp".to_owned());
+    }
+    broken
 }
 
 /// The `size` highest in-degree nodes of `g`, ties broken toward smaller
@@ -539,40 +736,150 @@ fn key_sequence(scenario: &Scenario, base: &CsrGraph, count: usize, seed: u64) -
     }
 }
 
+/// The open-loop arrival schedule of `arrivals` (empty for a closed loop)
+/// and, for a ramp, each segment's load factor and end index into it.
+fn arrival_schedule(
+    arrivals: ArrivalShape,
+    scale: &ScenarioScale,
+    capacity_qps: f64,
+    seed: u64,
+) -> (Vec<Duration>, Vec<(f64, usize)>) {
+    let mut schedule: Vec<Duration> = Vec::new();
+    let mut append = |load_factor: f64, count: usize, burstiness: f64, seed: u64| {
+        let mean_gap = Duration::from_secs_f64(1.0 / (load_factor * capacity_qps));
+        let start = schedule.last().copied().unwrap_or_default();
+        let segment = open_loop_arrivals(count, mean_gap, burstiness, seed);
+        schedule.extend(segment.into_iter().map(|offset| start + offset));
+        schedule.len()
+    };
+    let mut segments = Vec::new();
+    match arrivals {
+        ArrivalShape::OpenLoop {
+            load_factor,
+            burstiness,
+        } => {
+            append(load_factor, scale.requests, burstiness, seed);
+        }
+        ArrivalShape::Ramp {
+            load_factors,
+            burstiness,
+        } => {
+            for (k, &load_factor) in load_factors.iter().enumerate() {
+                let offered = load_factor * capacity_qps;
+                let count = ((offered * scale.segment.as_secs_f64()) as usize).max(32);
+                let end = append(load_factor, count, burstiness, seed.wrapping_add(k as u64));
+                segments.push((load_factor, end));
+            }
+        }
+        ArrivalShape::ClosedLoop { .. } => {}
+    }
+    (schedule, segments)
+}
+
+/// `count` per second of `span`; 0 over an empty span.
+fn rate(count: u64, span: Duration) -> f64 {
+    if span.is_zero() {
+        0.0
+    } else {
+        count as f64 / span.as_secs_f64()
+    }
+}
+
+/// Each ramp segment's `(load factor, outcomes)` from the run's
+/// `(arrival index, outcome)` pairs (accepted arrivals only, in arrival
+/// order).
+fn segment_outcomes(
+    schedule: &[Duration],
+    segments: &[(f64, usize)],
+    outcomes: &[(usize, QueryOutcome)],
+) -> Vec<(f64, Outcomes)> {
+    let mut begin = 0;
+    let mut stats = Vec::with_capacity(segments.len());
+    for &(load_factor, end) in segments {
+        let steady_from = begin + ((end - begin) as f64 * WARMUP_FRACTION) as usize;
+        let lo = outcomes.partition_point(|(i, _)| *i < begin);
+        let hi = outcomes.partition_point(|(i, _)| *i < end);
+        let (mut answered, mut deadline_misses) = (0, 0);
+        let mut steady = Vec::new();
+        for (i, outcome) in &outcomes[lo..hi] {
+            match outcome {
+                QueryOutcome::Answered(r) => {
+                    answered += 1;
+                    if *i >= steady_from {
+                        steady.push(r.queue_wait + r.service);
+                    }
+                }
+                QueryOutcome::DeadlineMissed { .. } => deadline_misses += 1,
+                QueryOutcome::Failed { .. } => {}
+            }
+        }
+        let span = schedule[end - 1] - begin.checked_sub(1).map_or(Duration::ZERO, |i| schedule[i]);
+        let accepted = (hi - lo) as u64;
+        let segment = Outcomes {
+            requests: end - begin,
+            accepted,
+            rejected: (end - begin) as u64 - accepted,
+            answered,
+            deadline_misses,
+            throughput_qps: rate(answered, span),
+            p99_latency: LatencySummary::from_samples(steady).p99(),
+        };
+        stats.push((load_factor, segment));
+        begin = end;
+    }
+    stats
+}
+
 /// The open-loop load generator: sleeps to each arrival offset (measured
 /// from `start`), `try_submit`s that arrival's key and never waits for the
-/// server. Returns every *accepted* ticket with its arrival index, in
-/// arrival order; a rejected submission is dropped (the front-end counts
-/// it).
+/// server; a rejected submission is dropped (the front-end counts it).
+/// Returns the outcome of every *accepted* arrival with its index, in
+/// arrival order. A second thread waits on the tickets as they are
+/// accepted, so a resolved ticket does not hold its response for the rest
+/// of the run.
 ///
 /// # Panics
 /// Panics if `keys` is shorter than `arrivals`.
-pub fn submit_open_loop(
+fn submit_open_loop(
     frontend: &Frontend,
     start: Instant,
     arrivals: &[Duration],
     keys: &[NodeId],
-) -> Vec<(usize, Ticket)> {
-    let mut tickets = Vec::with_capacity(arrivals.len());
-    for (i, &offset) in arrivals.iter().enumerate() {
-        let target = start + offset;
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
+) -> Vec<(usize, QueryOutcome)> {
+    let mut outcomes = Vec::with_capacity(arrivals.len());
+    // The scope joins the waiter once the sender drops at the end of the
+    // closure, and re-raises a panic of it.
+    std::thread::scope(|scope| {
+        let (accepted, tickets) = mpsc::channel::<(usize, Ticket)>();
+        let waited = &mut outcomes;
+        scope.spawn(move || waited.extend(tickets.into_iter().map(|(i, t)| (i, t.wait()))));
+        for (i, &offset) in arrivals.iter().enumerate() {
+            let target = start + offset;
+            let now = Instant::now();
+            if target > now {
+                std::thread::sleep(target - now);
+            }
+            if let Ok(ticket) = frontend.try_submit(keys[i]) {
+                // Only fails if the waiter died, which the scope re-raises.
+                let _ = accepted.send((i, ticket));
+            }
         }
-        tickets.extend(frontend.try_submit(keys[i]).ok().map(|ticket| (i, ticket)));
-    }
-    tickets
+    });
+    outcomes
 }
 
 /// Runs one scenario through a fresh store + [`Frontend`], with a paced
-/// writer committing the scenario's update stream throughout.
+/// writer committing the scenario's update stream throughout and, when
+/// `controller` is `Some`, a [`Controller`] setting the front-end's
+/// admission quota for the whole run (so a ramp's controller state carries
+/// across its load levels; the report carries its [`ControlLog`]).
 ///
 /// Deterministic inputs: same `(engine config, base, scenario, scale,
-/// calibration-independent seed)` produce the same update stream, key
-/// sequence and (for open loop) arrival schedule. The run asserts that the
-/// final store state equals a sequential replay of the update stream, so a
-/// scenario can never silently diverge from its own workload.
+/// calibration, seed)` produce the same update stream, key sequence and
+/// (for open loop and ramp) arrival schedule, with or without a
+/// controller. The run asserts that the final store state equals a
+/// sequential replay of the update stream, so a scenario can never
+/// silently diverge from its own workload.
 ///
 /// # Panics
 /// Panics on internal serving-contract violations (a worker failure, a
@@ -584,28 +891,22 @@ pub fn run_scenario(
     scale: &ScenarioScale,
     calibration: &Calibration,
     seed: u64,
+    controller: Option<ControllerOptions>,
 ) -> ScenarioReport {
-    run_scenario_cached(engine, base, scenario, scale, calibration, seed, None)
-}
-
-/// [`run_scenario`] with an optional [`AnswerCache`]: when `cache_opts` is
-/// `Some`, a fresh cache is attached to the front-end, the paced writer
-/// notifies it of every publish's touched-node delta
-/// ([`AnswerCache::on_publish`]), and the report's `cache_*` fields carry
-/// the run's hit/miss counts. `None` reproduces [`run_scenario`] exactly.
-///
-/// # Panics
-/// Same contract as [`run_scenario`].
-pub fn run_scenario_cached(
-    engine: &SimPush,
-    base: &CsrGraph,
-    scenario: &Scenario,
-    scale: &ScenarioScale,
-    calibration: &Calibration,
-    seed: u64,
-    cache_opts: Option<AnswerCacheOptions>,
-) -> ScenarioReport {
-    let requests = scale.requests;
+    let (schedule, segments) = arrival_schedule(
+        scenario.arrivals,
+        scale,
+        calibration.capacity_qps,
+        seed.wrapping_add(2),
+    );
+    let closed_loop = match scenario.arrivals {
+        ArrivalShape::ClosedLoop { clients } => Some(clients),
+        _ => None,
+    };
+    let requests = match closed_loop {
+        Some(_) => scale.requests,
+        None => schedule.len(),
+    };
     let num_updates = ((requests as f64 * scenario.updates_per_query) as usize)
         .clamp(scale.min_updates, scale.max_updates);
     let workload: MixedWorkload =
@@ -614,46 +915,34 @@ pub fn run_scenario_cached(
 
     // Expected duration, used only to pace the writer: open loop knows its
     // schedule span; closed loop is estimated from calibrated capacity.
-    let (arrivals, offered_qps, deadline) = match scenario.arrivals {
-        ArrivalShape::OpenLoop {
-            load_factor,
-            burstiness,
-        } => {
-            let offered = load_factor * calibration.capacity_qps;
-            let mean_gap = Duration::from_secs_f64(1.0 / offered);
-            let schedule = open_loop_arrivals(requests, mean_gap, burstiness, seed.wrapping_add(2));
-            let deadline = calibration.mean_service
-                * scale.deadline_queue_factor
-                * scale.queue_capacity as u32;
-            (Some(schedule), offered, Some(deadline))
-        }
-        ArrivalShape::ClosedLoop { .. } => (None, 0.0, None),
-    };
-    let expected_wall = match &arrivals {
-        Some(schedule) => schedule.last().copied().unwrap_or_default(),
-        None => Duration::from_secs_f64(requests as f64 / calibration.capacity_qps.max(1.0)),
+    let (offered_qps, expected_wall) = match schedule.last() {
+        Some(&span) => (requests as f64 / span.as_secs_f64(), span),
+        None => (
+            0.0,
+            Duration::from_secs_f64(requests as f64 / calibration.capacity_qps.max(1.0)),
+        ),
     };
 
     let store = Arc::new(GraphStore::with_compaction_threshold(
         base.clone(),
         scale.compaction_threshold,
     ));
-    let cache = cache_opts.map(|opts| Arc::new(AnswerCache::new(opts)));
-    let mut frontend_opts = FrontendOptions::builder()
-        .workers(scale.workers)
-        .queue_capacity(scale.queue_capacity)
-        .default_deadline(deadline)
-        .top_k(scale.top_k);
-    if let Some(cache) = cache.clone() {
-        frontend_opts = frontend_opts.cache(cache);
-    }
-    let frontend = Frontend::start(engine, store.clone(), frontend_opts.build());
+    let frontend = Frontend::start(
+        engine,
+        store.clone(),
+        FrontendOptions::builder()
+            .workers(scale.workers)
+            .queue_capacity(scale.queue_capacity)
+            .default_deadline(closed_loop.is_none().then(|| calibration.deadline(scale)))
+            .top_k(scale.top_k)
+            .synthetic_service_delay(scale.service_delay)
+            .build(),
+    );
+    let controller = controller
+        .map(|opts| Controller::start(frontend.observer(), frontend.admission_quota(), opts));
 
     // Writer: pace the whole update stream across the expected duration so
-    // epochs advance under live traffic. In cached runs the writer is also
-    // the invalidation source: each commit hands its touched-node delta to
-    // the cache, so only entries whose support intersects the publish stop
-    // being served.
+    // epochs advance under live traffic.
     let writer = {
         let store = store.clone();
         let updates = workload.updates.clone();
@@ -662,33 +951,27 @@ pub fn run_scenario_cached(
         let pace = expected_wall / num_batches as u32;
         std::thread::spawn(move || {
             for chunk in updates.chunks(batch) {
-                let (_, info) = store.commit(chunk);
-                if let Some(cache) = &cache {
-                    cache.on_publish(info.epoch, &info.touched);
-                }
+                store.commit(chunk);
                 std::thread::sleep(pace);
             }
         })
     };
 
-    // Drive the traffic and collect outcomes in submission order.
+    // Drive the traffic and collect (arrival index, outcome) pairs in
+    // submission order.
     let start = Instant::now();
-    let outcomes: Vec<QueryOutcome> = match scenario.arrivals {
-        ArrivalShape::OpenLoop { .. } => {
-            let schedule = arrivals.expect("open loop has a schedule");
-            submit_open_loop(&frontend, start, &schedule, &keys)
-                .into_iter()
-                .map(|(_, ticket)| ticket.wait())
-                .collect()
-        }
-        ArrivalShape::ClosedLoop { clients } => frontend
+    let outcomes: Vec<(usize, QueryOutcome)> = match closed_loop {
+        None => submit_open_loop(&frontend, start, &schedule, &keys),
+        Some(clients) => frontend
             .run_closed_loop(&keys, clients, Duration::from_secs(60))
             .into_iter()
             .map(|r| r.expect("closed-loop admission cannot time out at these scales"))
+            .enumerate()
             .collect(),
     };
     let wall = start.elapsed();
     writer.join().expect("scenario writer panicked");
+    let control = controller.map(Controller::stop);
     let stats = frontend.shutdown();
     assert_eq!(
         stats.accepted + stats.rejected,
@@ -707,9 +990,10 @@ pub fn run_scenario_cached(
         scenario.name
     );
 
+    let segments = segment_outcomes(&schedule, &segments, &outcomes);
     let mut latencies = Vec::with_capacity(outcomes.len());
     let mut answers = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
+    for (_, outcome) in outcomes {
         match outcome {
             QueryOutcome::Answered(r) => {
                 latencies.push(r.queue_wait + r.service);
@@ -727,32 +1011,30 @@ pub fn run_scenario_cached(
 
     ScenarioReport {
         name: scenario.name,
-        requests,
         offered_qps,
         updates: workload.updates,
         updates_per_batch: scale.updates_per_batch,
-        accepted: stats.accepted,
-        rejected: stats.rejected,
-        answered: stats.answered,
-        deadline_misses: stats.deadline_misses,
-        throughput_qps: if wall.is_zero() {
-            0.0
-        } else {
-            stats.answered as f64 / wall.as_secs_f64()
+        outcomes: Outcomes {
+            requests,
+            accepted: stats.accepted,
+            rejected: stats.rejected,
+            answered: stats.answered,
+            deadline_misses: stats.deadline_misses,
+            throughput_qps: rate(stats.answered, wall),
+            p99_latency: latency_summary.p99(),
         },
         p50_latency: latency_summary.p50(),
-        p99_latency: latency_summary.p99(),
         final_epoch,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
         answers,
+        segments,
+        control,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simpush::Config;
+    use simpush::{Config, ControlReason, ControlRecord, TickObservation};
     use simrank_graph::gen;
 
     fn tiny_scale() -> ScenarioScale {
@@ -766,15 +1048,21 @@ mod tests {
             compaction_threshold: 32,
             calib_requests: 20,
             calib_clients: 4,
-            deadline_queue_factor: 4,
             top_k: 2,
+            segment: Duration::from_millis(20),
+            tick: Duration::from_millis(1),
+            service_delay: Duration::ZERO,
         }
+    }
+
+    fn named(name: &str) -> Scenario {
+        catalog().into_iter().find(|s| s.name == name).unwrap()
     }
 
     #[test]
     fn catalog_names_are_unique_and_cover_the_required_matrix() {
         let scenarios = catalog();
-        assert!(scenarios.len() >= 6, "the matrix needs at least 6 entries");
+        assert!(scenarios.len() >= 7, "the matrix needs at least 7 entries");
         let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
         for required in [
             "read_heavy",
@@ -783,6 +1071,7 @@ mod tests {
             "bursty",
             "batch_scan",
             "hot_flood",
+            "ramp",
         ] {
             assert!(names.contains(&required), "catalog is missing {required}");
         }
@@ -792,11 +1081,20 @@ mod tests {
         assert_eq!(deduped.len(), names.len(), "duplicate scenario names");
         // Shape sanity, so no scenario can be quietly de-fanged: the flood
         // is offered well past capacity, the below-knee shapes stay below
-        // the knee, the burst knob is meaningfully high in `bursty`, and
-        // `batch_scan` is the one closed-loop entry.
+        // the knee, the burst knob is meaningfully high in `bursty`,
+        // `batch_scan` is the one closed-loop entry and the ramp climbs
+        // from below the knee past the verdict load on the calibration's
+        // own key distribution.
         for s in &scenarios {
-            for target in [s.slo.max_reject_rate, s.slo.max_deadline_miss_rate] {
-                assert!((0.0..=1.0).contains(&target), "{}: SLO is a rate", s.name);
+            for ceiling in [
+                s.ceilings.max_reject_rate,
+                s.ceilings.max_deadline_miss_rate,
+            ] {
+                assert!(
+                    (0.0..=1.0).contains(&ceiling),
+                    "{}: a ceiling is a rate",
+                    s.name
+                );
             }
             let (load_factor, burstiness) = match s.arrivals {
                 ArrivalShape::OpenLoop {
@@ -804,8 +1102,8 @@ mod tests {
                     burstiness,
                 } => (load_factor, burstiness),
                 // NaN is outside every range below: a scenario pinned as
-                // open loop fails if it turns closed loop.
-                ArrivalShape::ClosedLoop { .. } => (f64::NAN, f64::NAN),
+                // open loop fails if it turns closed loop or ramp.
+                _ => (f64::NAN, f64::NAN),
             };
             match s.name {
                 "hot_flood" => {
@@ -834,8 +1132,29 @@ mod tests {
                     assert!((0.3..=0.99).contains(&load_factor));
                     assert!(s.updates_per_query <= 0.1);
                 }
+                "ramp" => {
+                    let ArrivalShape::Ramp { load_factors, .. } = s.arrivals else {
+                        panic!("ramp must be a ramp");
+                    };
+                    assert!(load_factors[0] < 1.0, "the ramp starts below the knee");
+                    assert!(load_factors.iter().any(|&l| l >= VERDICT_LOAD));
+                    assert_eq!(s.keys, KeyDist::Uniform);
+                }
                 _ => {}
             }
+        }
+    }
+
+    /// 100 requests, all answered, with the given p99.
+    fn healthy(p99: Duration) -> Outcomes {
+        Outcomes {
+            requests: 100,
+            accepted: 100,
+            rejected: 0,
+            answered: 100,
+            deadline_misses: 0,
+            throughput_qps: 50.0,
+            p99_latency: Some(p99),
         }
     }
 
@@ -843,33 +1162,31 @@ mod tests {
     fn clean_report(scenario: &Scenario) -> ScenarioReport {
         ScenarioReport {
             name: scenario.name,
-            requests: 100,
             offered_qps: 0.0,
             updates: vec![GraphUpdate::Insert(0, 1)],
             updates_per_batch: 1,
-            accepted: 100,
-            rejected: 0,
-            answered: 100,
-            deadline_misses: 0,
-            throughput_qps: 50.0,
+            outcomes: healthy(Duration::from_millis(2)),
             p50_latency: Some(Duration::from_millis(1)),
-            p99_latency: Some(Duration::from_millis(2)),
             final_epoch: 1,
-            cache_hits: 0,
-            cache_misses: 0,
             answers: Vec::new(),
+            segments: Vec::new(),
+            control: None,
         }
     }
 
     /// `clean_report` with `rejected` of its 100 requests shed at admission
     /// and `expired` of the accepted ones missing their deadline.
     fn shedding(scenario: &Scenario, rejected: u64, expired: u64) -> ScenarioReport {
+        let clean = clean_report(scenario);
         ScenarioReport {
-            accepted: 100 - rejected,
-            rejected,
-            answered: 100 - rejected - expired,
-            deadline_misses: expired,
-            ..clean_report(scenario)
+            outcomes: Outcomes {
+                accepted: 100 - rejected,
+                rejected,
+                answered: 100 - rejected - expired,
+                deadline_misses: expired,
+                ..clean.outcomes
+            },
+            ..clean
         }
     }
 
@@ -917,15 +1234,18 @@ mod tests {
     fn violations_flag_every_shape_rule_whatever_the_scenario() {
         type Mutation = fn(&mut ScenarioReport);
         let rules: [(Mutation, &str); 8] = [
-            (|r| r.requests = 0, "drove no requests"),
+            (|r| r.outcomes.requests = 0, "drove no requests"),
             (|r| r.updates.clear(), "committed no updates"),
             (|r| r.final_epoch = 0, "published no epoch"),
-            (|r| r.answered = 0, "answered nothing"),
-            (|r| r.throughput_qps = 0.09, "throughput 0.090 q/s < 0.1"),
-            (|r| r.p99_latency = None, "no p99 latency sample"),
-            (|r| r.rejected = 101, "rejected 101 > requests 100"),
+            (|r| r.outcomes.answered = 0, "answered nothing"),
             (
-                |r| r.deadline_misses = 101,
+                |r| r.outcomes.throughput_qps = 0.09,
+                "throughput 0.090 q/s < 0.1",
+            ),
+            (|r| r.outcomes.p99_latency = None, "no p99 latency sample"),
+            (|r| r.outcomes.rejected = 101, "rejected 101 > requests 100"),
+            (
+                |r| r.outcomes.deadline_misses = 101,
                 "deadline_misses 101 > accepted 100",
             ),
         ];
@@ -944,19 +1264,174 @@ mod tests {
 
     #[test]
     fn a_calibration_must_be_positive() {
+        // Deadline = 4 × 16 queue slots × mean: 16 ns is the shortest mean
+        // whose deadline reaches 1 µs.
+        let scale = tiny_scale();
+        let ns = Duration::from_nanos(1);
         let measured = Calibration {
             capacity_qps: 0.1,
-            mean_service: Duration::from_nanos(1),
-            requests: 1,
+            mean_service: ns * 16,
+            service_p99: ns,
         };
-        assert!(measured.violations().is_empty());
+        assert!(measured.violations(&scale).is_empty());
         let broken = Calibration {
             capacity_qps: 0.09,
             mean_service: Duration::ZERO,
-            ..measured
+            service_p99: Duration::ZERO,
         }
-        .violations();
-        assert_eq!(broken.len(), 2, "{broken:?}");
+        .violations(&scale);
+        assert_eq!(
+            broken,
+            [
+                "calibration: mean service time is zero",
+                "calibration: p99 service time is zero",
+                "calibration: capacity < 0.1 q/s",
+                "calibration: deadline < 1 µs",
+            ]
+        );
+        // The deadline rule on its own.
+        let short = Calibration {
+            mean_service: measured.mean_service - ns,
+            ..measured
+        };
+        assert_eq!(short.violations(&scale), ["calibration: deadline < 1 µs"]);
+        // The SLO (max of 2× service p99 and 16× mean) and the controller
+        // target (2× mean) are anchored on it.
+        let tail = Calibration {
+            service_p99: ns * 144,
+            ..measured
+        };
+        assert_eq!((measured.slo_p99(), tail.slo_p99()), (ns * 256, ns * 288));
+        assert_eq!(measured.controller(&scale).target_sojourn, ns * 32);
+    }
+
+    const SLO: Duration = Duration::from_micros(100);
+
+    /// A log of `ticks` ticks whose only actuations are `tightens` tightens.
+    fn log(ticks: u64, tightens: u64) -> ControlLog {
+        let record = |tick| ControlRecord {
+            tick,
+            observation: TickObservation {
+                sojourn_p99: None,
+                queue_depth: 0,
+            },
+            quota: Some(1),
+            reason: ControlReason::Tighten,
+        };
+        ControlLog {
+            records: (1..=tightens).map(record).collect(),
+            ticks,
+        }
+    }
+
+    /// The static and controlled ramp reports of `(load, static p99 µs,
+    /// controlled p99 µs)` segments, the controlled one carrying `log`.
+    fn pair(segments: &[(f64, u64, u64)], log: ControlLog) -> (ScenarioReport, ScenarioReport) {
+        let side = |p99: fn(&(f64, u64, u64)) -> u64, control| ScenarioReport {
+            segments: segments
+                .iter()
+                .map(|s| (s.0, healthy(Duration::from_micros(p99(s)))))
+                .collect(),
+            control,
+            ..clean_report(&named("ramp"))
+        };
+        (side(|s| s.1, None), side(|s| s.2, Some(log)))
+    }
+
+    #[track_caller]
+    fn assert_broken(broken: &[String], rules: &[&str]) {
+        assert_eq!(broken.len(), rules.len(), "{broken:?}");
+        for (got, want) in broken.iter().zip(rules) {
+            assert!(got.contains(want), "{got:?} does not name {want:?}");
+        }
+    }
+
+    #[test]
+    fn smoke_pins_only_the_sign_of_the_effect() {
+        // Static saturated far past the SLO, controlled at 1.5× static and
+        // missing the SLO too: fine at smoke scale.
+        let (f, c) = pair(&[(0.5, 50, 50), (1.5, 400, 600)], log(10, 1));
+        assert_broken(&ramp_violations(&f, &c, SLO, true), &[]);
+        let (f, c) = pair(&[(1.5, 400, 640)], log(10, 1));
+        assert_broken(
+            &ramp_violations(&f, &c, SLO, true),
+            &["ramp 1.5x: controlled p99 640.000µs exceeds 1.5x static p99 400.000µs"],
+        );
+        let (f, c) = pair(&[(0.5, 50, 50), (1.5, 400, 600)], log(10, 0));
+        assert_broken(
+            &ramp_violations(&f, &c, SLO, true),
+            &["controller never tightened"],
+        );
+    }
+
+    #[test]
+    fn full_run_holds_the_slo_verdict_on_every_high_ramp_segment() {
+        let (f, c) = pair(
+            &[(1.0, 90, 200), (1.5, 400, 100), (2.5, 900, 80)],
+            log(10, 0),
+        );
+        assert_broken(&ramp_violations(&f, &c, SLO, false), &[]);
+        let (f, c) = pair(&[(2.0, 400, 101)], log(10, 3));
+        assert_broken(
+            &ramp_violations(&f, &c, SLO, false),
+            &["ramp 2.0x: controlled run misses the p99 SLO"],
+        );
+        let (f, c) = pair(&[(1.5, 100, 60)], log(10, 3));
+        assert_broken(
+            &ramp_violations(&f, &c, SLO, false),
+            &["ramp 1.5x: static run meets the p99 SLO"],
+        );
+        let (f, c) = pair(&[(1.5, 150, 160)], log(10, 3));
+        assert_broken(
+            &ramp_violations(&f, &c, SLO, false),
+            &["exceeds static p99", "controlled run misses the p99 SLO"],
+        );
+    }
+
+    #[test]
+    fn only_ramp_segments_at_verdict_load_carry_the_verdict() {
+        // Segments below the verdict load that would break every headline
+        // rule: the ramp never reaches the comparison load.
+        let (f, c) = pair(&[(0.5, 50, 900), (1.4, 50, 900)], log(10, 1));
+        for smoke in [false, true] {
+            assert_broken(
+                &ramp_violations(&f, &c, SLO, smoke),
+                &["no ramp segment reaches 1.5x load"],
+            );
+        }
+    }
+
+    #[test]
+    fn every_segment_must_have_answered_on_both_sides_and_the_controller_ticked() {
+        let (mut fixed, mut controlled) = pair(&[(0.5, 50, 50), (1.5, 400, 90)], log(0, 0));
+        fixed.segments[0].1.rejected = 101;
+        fixed.segments[0].1.deadline_misses = 101;
+        controlled.segments[0].1 = Outcomes {
+            answered: 0,
+            throughput_qps: 0.0,
+            p99_latency: None,
+            ..healthy(SLO)
+        };
+        let ramp = named("ramp");
+        assert_broken(
+            &violations(&ramp, &fixed, false),
+            &[
+                "ramp 0.5x: rejected 101 > requests 100",
+                "ramp 0.5x: deadline_misses 101 > accepted 100",
+            ],
+        );
+        assert_broken(
+            &violations(&ramp, &controlled, false),
+            &[
+                "ramp controlled 0.5x: answered nothing",
+                "ramp controlled 0.5x: throughput 0.000 q/s < 0.1",
+                "ramp controlled 0.5x: no p99 latency sample",
+            ],
+        );
+        assert_broken(
+            &ramp_violations(&fixed, &controlled, SLO, false),
+            &["controller never ticked"],
+        );
     }
 
     #[test]
@@ -991,10 +1466,7 @@ mod tests {
         let g = gen::gnm(50, 400, 8);
         let scenario = Scenario {
             keys: KeyDist::HotSet { size: 3 },
-            ..catalog()
-                .into_iter()
-                .find(|s| s.name == "hot_flood")
-                .unwrap()
+            ..named("hot_flood")
         };
         let keys = key_sequence(&scenario, &g, 30, 1);
         let hot = hottest_in_degree_nodes(&g, 3);
@@ -1009,23 +1481,21 @@ mod tests {
         let engine = SimPush::new(Config::new(0.05));
         let scale = tiny_scale();
         let calibration = calibrate(&engine, &base, &scale, 3);
-        assert!(calibration.capacity_qps > 0.0);
-        assert!(calibration.mean_service > Duration::ZERO);
+        assert!(calibration.violations(&scale).is_empty());
 
-        let scenario = catalog()
-            .into_iter()
-            .find(|s| s.name == "batch_scan")
-            .unwrap();
-        let report = run_scenario(&engine, &base, &scenario, &scale, &calibration, 11);
-        assert_eq!(report.requests, 40);
-        assert_eq!(report.accepted, 40, "closed loop never rejects");
-        assert_eq!(report.answered, 40);
-        assert_eq!(report.deadline_misses, 0);
+        let scenario = named("batch_scan");
+        let report = run_scenario(&engine, &base, &scenario, &scale, &calibration, 11, None);
+        let run = &report.outcomes;
+        assert_eq!(run.requests, 40);
+        assert_eq!(run.accepted, 40, "closed loop never rejects");
+        assert_eq!(run.answered, 40);
+        assert_eq!(run.deadline_misses, 0);
         assert_eq!(report.answers.len(), 40);
-        assert!(report.meets(&scenario.slo));
-        assert!(report.throughput_qps > 0.0);
-        assert!(report.p99_latency.is_some());
-        assert!(report.p50_latency <= report.p99_latency);
+        assert!(run.within(&scenario.ceilings));
+        assert!(run.throughput_qps > 0.0);
+        assert!(run.p99_latency.is_some());
+        assert!(report.p50_latency <= run.p99_latency);
+        assert!(report.segments.is_empty() && report.control.is_none());
         // Scan keys: submission order is id order, wrap-around.
         for (i, rec) in report.answers.iter().enumerate() {
             assert_eq!(rec.node as usize, i % 80);
@@ -1041,10 +1511,7 @@ mod tests {
         let engine = SimPush::new(Config::new(0.05));
         let scale = tiny_scale();
         let calibration = calibrate(&engine, &base, &scale, 3);
-        let scenario = catalog()
-            .into_iter()
-            .find(|s| s.name == "hot_flood")
-            .unwrap();
+        let scenario = named("hot_flood");
         let KeyDist::HotSet { size } = scenario.keys else {
             panic!("hot_flood must flood a hot set");
         };
@@ -1052,7 +1519,7 @@ mod tests {
         // in-degree nodes, even though the paced writer mutates degrees
         // throughout the run.
         let initial_hot = hottest_in_degree_nodes(&base, size);
-        let report = run_scenario(&engine, &base, &scenario, &scale, &calibration, 31);
+        let report = run_scenario(&engine, &base, &scenario, &scale, &calibration, 31, None);
         assert!(
             report.final_epoch > 0,
             "the writer must actually mutate degrees mid-run"
@@ -1073,75 +1540,65 @@ mod tests {
     }
 
     #[test]
-    fn cached_scenario_counts_hits_and_stays_consistent() {
-        let base = gen::gnm(80, 400, 5);
-        let engine = SimPush::new(Config::new(0.05));
-        let scale = tiny_scale();
-        let calibration = calibrate(&engine, &base, &scale, 3);
-        // A closed-loop flood of 2 keys: deterministic answered count and
-        // plenty of repeats, so hits are guaranteed.
-        let scenario = Scenario {
-            name: "hot_flood",
-            keys: KeyDist::HotSet { size: 2 },
-            arrivals: ArrivalShape::ClosedLoop { clients: 2 },
-            ..catalog()
-                .into_iter()
-                .find(|s| s.name == "hot_flood")
-                .unwrap()
-        };
-        let report = run_scenario_cached(
-            &engine,
-            &base,
-            &scenario,
-            &scale,
-            &calibration,
-            41,
-            Some(AnswerCacheOptions {
-                max_stale_epochs: 1_000, // churn-proof: repeats must hit
-                ..AnswerCacheOptions::default()
-            }),
-        );
-        assert_eq!(report.answered, 40, "closed loop answers everything");
-        assert_eq!(
-            report.cache_hits + report.cache_misses,
-            report.answered,
-            "every answer either hit or probed-and-computed"
-        );
-        assert!(
-            report.cache_hits >= 30,
-            "2 keys over 40 requests: repeats must hit (got {})",
-            report.cache_hits
-        );
-        assert!((0.0..=1.0).contains(&report.cache_hit_rate()));
-        // The uncached entry point reports zeroed cache counters.
-        let uncached = run_scenario(&engine, &base, &scenario, &scale, &calibration, 41);
-        assert_eq!(uncached.cache_hits + uncached.cache_misses, 0);
-        assert_eq!(uncached.cache_hit_rate(), 0.0);
-    }
-
-    #[test]
     fn open_loop_scenario_reports_consistent_counters() {
         let base = gen::gnm(80, 400, 5);
         let engine = SimPush::new(Config::new(0.05));
         let scale = tiny_scale();
         let calibration = calibrate(&engine, &base, &scale, 3);
-        let scenario = catalog()
-            .into_iter()
-            .find(|s| s.name == "read_heavy")
-            .unwrap();
-        let report = run_scenario(&engine, &base, &scenario, &scale, &calibration, 21);
-        assert_eq!(report.accepted + report.rejected, 40);
+        let report = run_scenario(
+            &engine,
+            &base,
+            &named("read_heavy"),
+            &scale,
+            &calibration,
+            21,
+            None,
+        );
+        let run = &report.outcomes;
+        assert_eq!(run.accepted + run.rejected, 40);
         assert_eq!(
-            report.answered + report.deadline_misses,
-            report.accepted,
+            run.answered + run.deadline_misses,
+            run.accepted,
             "every accepted request resolves exactly once"
         );
-        assert_eq!(report.answers.len(), report.answered as usize);
+        assert_eq!(report.answers.len(), run.answered as usize);
         assert!(report.offered_qps > 0.0);
-        assert!((0.0..=1.0).contains(&report.reject_rate()));
-        assert!((0.0..=1.0).contains(&report.deadline_miss_rate()));
+        assert!((0.0..=1.0).contains(&run.reject_rate()));
+        assert!((0.0..=1.0).contains(&run.deadline_miss_rate()));
         assert!(
             report.final_epoch as usize <= report.updates.len().div_ceil(report.updates_per_batch)
         );
+    }
+
+    #[test]
+    fn ramp_segments_partition_the_run_and_the_controller_logs_it() {
+        let base = gen::gnm(80, 400, 5);
+        let engine = SimPush::new(Config::new(0.05));
+        let scale = tiny_scale();
+        let calibration = calibrate(&engine, &base, &scale, 3);
+        let ramp = named("ramp");
+        let ArrivalShape::Ramp { load_factors, .. } = ramp.arrivals else {
+            panic!("ramp must be a ramp");
+        };
+        let fixed = run_scenario(&engine, &base, &ramp, &scale, &calibration, 5, None);
+        let opts = calibration.controller(&scale);
+        let controlled = run_scenario(&engine, &base, &ramp, &scale, &calibration, 5, Some(opts));
+        assert!(fixed.control.is_none());
+        assert!(controlled.control.as_ref().is_some_and(|log| log.ticks > 0));
+        // Same seed, same traffic on both sides; the segments partition it.
+        assert_eq!(fixed.updates, controlled.updates);
+        for report in [&fixed, &controlled] {
+            let (loads, segments): (Vec<f64>, Vec<&Outcomes>) =
+                report.segments.iter().map(|(l, s)| (*l, s)).unzip();
+            assert_eq!(loads, load_factors);
+            assert!(segments.iter().all(|s| s.requests >= 32));
+            let sum = |f: fn(&Outcomes) -> u64| segments.iter().copied().map(f).sum::<u64>();
+            let run = &report.outcomes;
+            assert_eq!(sum(|s| s.requests as u64), fixed.outcomes.requests as u64);
+            assert_eq!(sum(|s| s.accepted), run.accepted);
+            assert_eq!(sum(|s| s.rejected), run.rejected);
+            assert_eq!(sum(|s| s.answered), run.answered);
+            assert_eq!(sum(|s| s.deadline_misses), run.deadline_misses);
+        }
     }
 }

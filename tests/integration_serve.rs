@@ -373,8 +373,9 @@ fn frontend_on_a_sharded_store_replays_cuts_identically() {
 #[test]
 fn scenario_answers_replay_bit_identically_on_their_epochs() {
     // The workload-matrix restatement of the serving contract: whatever
-    // scenario shape drove the front-end — closed-loop scan clients or
-    // open-loop uniform arrivals racing the paced writer — every recorded
+    // scenario shape drove the front-end — closed-loop scan clients,
+    // open-loop uniform arrivals racing the paced writer, or the load ramp
+    // with the SLO controller setting the admission quota — every recorded
     // answer must reproduce bit for bit from a cold rebuild of the epoch
     // it was served on, and the recorded update stream is the scenario's
     // deterministic one, so the rebuild can be done by anyone from the
@@ -389,24 +390,43 @@ fn scenario_answers_replay_bit_identically_on_their_epochs() {
         compaction_threshold: 24,
         calib_requests: 24,
         calib_clients: 4,
-        deadline_queue_factor: 4,
         top_k: 3,
+        segment: Duration::from_millis(20),
+        tick: Duration::from_millis(2),
+        service_delay: Duration::ZERO,
     };
     let base = simrank_suite::graph::gen::gnm(160, 800, 51);
     let engine = SimPush::new(Config::new(0.05));
     let calibration = calibrate(&engine, &base, &scale, 13);
 
-    for name in ["batch_scan", "read_heavy"] {
+    let controlled = Some(calibration.controller(&scale));
+    for (name, controller) in [
+        ("batch_scan", None),
+        ("read_heavy", None),
+        ("ramp", controlled),
+    ] {
         let scenario = catalog()
             .into_iter()
             .find(|s| s.name == name)
             .expect("catalog scenario");
-        let report = run_scenario(&engine, &base, &scenario, &scale, &calibration, 87);
+        let run = || {
+            let controller = controller.clone();
+            run_scenario(
+                &engine,
+                &base,
+                &scenario,
+                &scale,
+                &calibration,
+                87,
+                controller,
+            )
+        };
+        let report = run();
         assert!(
-            report.answered > 0,
+            report.outcomes.answered > 0,
             "{name}: a below-knee scenario must answer"
         );
-        assert_eq!(report.answers.len(), report.answered as usize);
+        assert_eq!(report.answers.len(), report.outcomes.answered as usize);
 
         // The recorded stream is the seed-deterministic workload — the
         // replay handle is reproducible from (base, seed) alone.
@@ -429,9 +449,9 @@ fn scenario_answers_replay_bit_identically_on_their_epochs() {
 
         // Determinism of the workload surface itself: a second run drives
         // the same keys and stream (timing-dependent epochs may differ).
-        let again = run_scenario(&engine, &base, &scenario, &scale, &calibration, 87);
+        let again = run();
         assert_eq!(again.updates, report.updates);
-        assert_eq!(again.requests, report.requests);
+        assert_eq!(again.outcomes.requests, report.outcomes.requests);
     }
 }
 
