@@ -118,7 +118,8 @@ impl QueryResult {
     /// node ids; zero-score nodes are never returned, so fewer than `k`
     /// entries may come back on sparse graphs.
     ///
-    /// Cost is `O(p + k log k)` for `p` positive-score entries: a
+    /// Cost is `O(n + p + k log k)` for `n` nodes and `p` positive-score
+    /// entries: one scan of all `n` scores collects the `p` candidates, a
     /// selection pass partitions the true top `k` to the front (the
     /// tie-break keeps the selection total-order), and only those `k` are
     /// sorted — on web-scale score vectors this avoids the `O(p log p)`
@@ -134,9 +135,7 @@ impl QueryResult {
         if k == 0 {
             return Vec::new();
         }
-        let rank = |a: &(NodeId, f64), b: &(NodeId, f64)| {
-            b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
-        };
+        let rank = |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
         if entries.len() > k {
             entries.select_nth_unstable_by(k - 1, rank);
             entries.truncate(k);

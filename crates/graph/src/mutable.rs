@@ -89,9 +89,13 @@ impl MutableGraph {
             Err(_) => false,
             Ok(pos) => {
                 outs.remove(pos);
+                // The in-list mirrors the out-list, so `src` is present.
                 let ins = &mut self.ins[dst as usize];
-                let ipos = ins.binary_search(&src).unwrap();
-                ins.remove(ipos);
+                let found = ins.binary_search(&src);
+                debug_assert!(found.is_ok(), "in-list of {dst} lacks {src}");
+                if let Ok(ipos) = found {
+                    ins.remove(ipos);
+                }
                 self.m -= 1;
                 true
             }

@@ -5,13 +5,13 @@
 //! ```text
 //! superblock (page 0)
 //!   0..4     magic        b"SRGD"
-//!   4..8     version      u32 (currently 1)
+//!   4..8     version      u32 (currently 2)
 //!   8..12    page_size    u32 (power of two in [256, 2^24])
 //!   12..16   flags        u32 (0; unknown flags are rejected)
 //!   16..24   n            u64
 //!   24..32   m            u64
 //!   32..128  4 × segment descriptor { offset u64, len u64, checksum u64 }
-//!   128..136 header checksum   FNV-1a 64 of bytes 0..128
+//!   128..136 header checksum   XXH64 (seed 0) of bytes 0..128
 //!   136..page_size  zero padding
 //! segments (each starting on a page boundary, zero-padded to the next):
 //!   out_offsets  (n + 1) × u64
@@ -41,16 +41,17 @@ use simrank_common::NodeId;
 
 use super::adaptor::{Adaptor, FsAdaptor, MemAdaptor, MmapAdaptor};
 use super::placement::{plan_placement, PlacementReport, SegmentId, TierCounters, TierStats};
-use super::Fnv64;
+use super::Xxh64;
 use crate::csr::CsrGraph;
 use crate::io::IoError;
 use crate::view::GraphView;
 
 const MAGIC: &[u8; 4] = b"SRGD";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Bytes of the superblock that carry data (checksummed 128 + checksum 8).
 const HEADER_BYTES: usize = 136;
-/// Streaming buffer for open-time validation passes (multiple of 8).
+/// Streaming buffer for the writer and the open-time validation passes
+/// (multiple of 8).
 const SCAN_CHUNK: usize = 64 * 1024;
 
 /// Smallest allowed page size (must hold the whole superblock).
@@ -124,7 +125,7 @@ fn encode_superblock(
         h[at + 8..at + 16].copy_from_slice(&seg.len.to_le_bytes());
         h[at + 16..at + 24].copy_from_slice(&seg.checksum.to_le_bytes());
     }
-    let checksum = Fnv64::digest(&h[..128]);
+    let checksum = Xxh64::digest(&h[..128]);
     h[128..136].copy_from_slice(&checksum.to_le_bytes());
     h
 }
@@ -150,7 +151,7 @@ fn parse_superblock(h: &[u8; HEADER_BYTES]) -> Result<Superblock, IoError> {
         )));
     }
     let stored = get_u64(h, 128);
-    let computed = Fnv64::digest(&h[..128]);
+    let computed = Xxh64::digest(&h[..128]);
     if stored != computed {
         return Err(IoError::Format(format!(
             "superblock checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
@@ -221,24 +222,25 @@ fn write_zeros<W: Write>(w: &mut W, mut count: u64) -> Result<(), IoError> {
     Ok(())
 }
 
-fn write_u64_words<W: Write>(w: &mut W, vals: &[usize]) -> Result<u64, IoError> {
-    let mut fnv = Fnv64::new();
-    for &v in vals {
-        let b = (v as u64).to_le_bytes();
-        fnv.update(&b);
-        w.write_all(&b)?;
+/// Streams `vals` as little-endian `B`-byte words, returning their
+/// checksum. Words are encoded a [`SCAN_CHUNK`] at a time, so each chunk
+/// costs one `write_all` and one checksum update.
+fn write_words<W: Write, T: Copy, const B: usize>(
+    w: &mut W,
+    vals: &[T],
+    encode: impl Fn(T) -> [u8; B],
+) -> Result<u64, IoError> {
+    let mut sum = Xxh64::new();
+    let mut buf = vec![0u8; SCAN_CHUNK.min(vals.len() * B)];
+    for words in vals.chunks(SCAN_CHUNK / B) {
+        let chunk = &mut buf[..words.len() * B];
+        for (dst, &v) in chunk.chunks_exact_mut(B).zip(words) {
+            dst.copy_from_slice(&encode(v));
+        }
+        sum.update(chunk);
+        w.write_all(chunk)?;
     }
-    Ok(fnv.finish())
-}
-
-fn write_u32_words<W: Write>(w: &mut W, vals: &[NodeId]) -> Result<u64, IoError> {
-    let mut fnv = Fnv64::new();
-    for &v in vals {
-        let b = v.to_le_bytes();
-        fnv.update(&b);
-        w.write_all(&b)?;
-    }
-    Ok(fnv.finish())
+    Ok(sum.finish())
 }
 
 /// Writes `g` to `path` in the `SRGD` on-disk layout with the given page
@@ -280,10 +282,10 @@ pub fn write_disk_graph<P: AsRef<Path>>(
     write_zeros(&mut w, ps)?; // superblock placeholder
     for (i, seg) in segs.iter_mut().enumerate() {
         seg.checksum = match i {
-            0 => write_u64_words(&mut w, out_offsets)?,
-            1 => write_u32_words(&mut w, out_targets)?,
-            2 => write_u64_words(&mut w, in_offsets)?,
-            _ => write_u32_words(&mut w, in_sources)?,
+            0 => write_words(&mut w, out_offsets, |v| (v as u64).to_le_bytes())?,
+            1 => write_words(&mut w, out_targets, NodeId::to_le_bytes)?,
+            2 => write_words(&mut w, in_offsets, |v| (v as u64).to_le_bytes())?,
+            _ => write_words(&mut w, in_sources, NodeId::to_le_bytes)?,
         };
         write_zeros(
             &mut w,
@@ -330,7 +332,7 @@ fn scan_offsets(
     ps: u64,
     pin: bool,
 ) -> Result<OffsetScan, IoError> {
-    let mut fnv = Fnv64::new();
+    let mut sum = Xxh64::new();
     let mut values = if pin {
         Some(Vec::with_capacity((seg.len / 8) as usize))
     } else {
@@ -349,7 +351,7 @@ fn scan_offsets(
         let take = (seg.len - read).min(SCAN_CHUNK as u64) as usize;
         let chunk = &mut buf[..take];
         adaptor.read_at(seg.offset + read, chunk)?;
-        fnv.update(chunk);
+        sum.update(chunk);
         for word in chunk.chunks_exact(8) {
             let mut a = [0u8; 8];
             a.copy_from_slice(word);
@@ -386,7 +388,7 @@ fn scan_offsets(
         }
         read += take as u64;
     }
-    let checksum = fnv.finish();
+    let checksum = sum.finish();
     if checksum != seg.checksum {
         return Err(IoError::Format(format!(
             "{name} checksum mismatch: stored {:#018x}, computed {checksum:#018x}",
@@ -404,28 +406,46 @@ fn scan_offsets(
     Ok(OffsetScan { spans, values })
 }
 
+/// The little-endian node ids of `bytes`, one per 4-byte word.
+fn ids(bytes: &[u8]) -> impl Iterator<Item = NodeId> + '_ {
+    bytes.chunks_exact(4).map(|word| {
+        let mut a = [0u8; 4];
+        a.copy_from_slice(word);
+        NodeId::from_le_bytes(a)
+    })
+}
+
+/// Rejects any id `>= n` in `bytes`. One max-fold bounds-checks the whole
+/// chunk; only a failing chunk is rescanned, to name its first
+/// out-of-range id.
+fn check_ids(bytes: &[u8], n: usize, name: &str) -> Result<(), IoError> {
+    let max = ids(bytes).fold(0, NodeId::max);
+    if bytes.len() >= 4 && max as usize >= n {
+        let t = ids(bytes).find(|&t| t as usize >= n).unwrap_or(max);
+        return Err(IoError::Format(format!(
+            "{name}: node id {t} out of range (n = {n})"
+        )));
+    }
+    Ok(())
+}
+
+/// Decodes the node ids of `bytes` onto `into` once [`check_ids`] has
+/// passed them; on error `into` is left as it was.
 fn decode_u32_checked(
     bytes: &[u8],
     n: usize,
     name: &str,
     into: &mut Vec<NodeId>,
 ) -> Result<(), IoError> {
-    for word in bytes.chunks_exact(4) {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(word);
-        let t = u32::from_le_bytes(a);
-        if (t as usize) >= n {
-            return Err(IoError::Format(format!(
-                "{name}: node id {t} out of range (n = {n})"
-            )));
-        }
-        into.push(t);
-    }
+    check_ids(bytes, n, name)?;
+    into.extend(ids(bytes));
     Ok(())
 }
 
 /// Streams one element segment verifying its checksum and id bounds,
-/// optionally keeping the decoded values (pinning).
+/// optionally keeping the decoded values (pinning). As in
+/// [`scan_offsets`], an out-of-range id is reported only after the
+/// checksum verdict.
 fn scan_elements(
     adaptor: &dyn Adaptor,
     seg: &SegmentDesc,
@@ -433,35 +453,40 @@ fn scan_elements(
     n: usize,
     pin: bool,
 ) -> Result<Option<Vec<NodeId>>, IoError> {
-    let mut fnv = Fnv64::new();
+    let mut sum = Xxh64::new();
     let mut values = if pin {
         Some(Vec::with_capacity((seg.len / 4) as usize))
     } else {
         None
     };
-    let mut scratch = Vec::new();
+    let mut out_of_range: Option<IoError> = None;
     let mut read = 0u64;
     let mut buf = vec![0u8; SCAN_CHUNK.min(seg.len as usize)];
     while read < seg.len {
         let take = (seg.len - read).min(SCAN_CHUNK as u64) as usize;
         let chunk = &mut buf[..take];
         adaptor.read_at(seg.offset + read, chunk)?;
-        fnv.update(chunk);
-        let into = values.as_mut().unwrap_or(&mut scratch);
-        decode_u32_checked(chunk, n, name, into)?;
-        if values.is_none() {
-            scratch.clear();
+        sum.update(chunk);
+        if out_of_range.is_none() {
+            out_of_range = match &mut values {
+                Some(into) => decode_u32_checked(chunk, n, name, into),
+                None => check_ids(chunk, n, name),
+            }
+            .err();
         }
         read += take as u64;
     }
-    let checksum = fnv.finish();
+    let checksum = sum.finish();
     if checksum != seg.checksum {
         return Err(IoError::Format(format!(
             "{name} checksum mismatch: stored {:#018x}, computed {checksum:#018x}",
             seg.checksum
         )));
     }
-    Ok(values)
+    match out_of_range {
+        Some(e) => Err(e),
+        None => Ok(values),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1239,9 +1264,9 @@ mod tests {
         let at = 32 + seg * 24;
         let off = get_u64(bytes, at) as usize;
         let len = get_u64(bytes, at + 8) as usize;
-        let sum = Fnv64::digest(&bytes[off..off + len]);
+        let sum = Xxh64::digest(&bytes[off..off + len]);
         bytes[at + 16..at + 24].copy_from_slice(&sum.to_le_bytes());
-        let header = Fnv64::digest(&bytes[..128]);
+        let header = Xxh64::digest(&bytes[..128]);
         bytes[128..136].copy_from_slice(&header.to_le_bytes());
     }
 
@@ -1269,9 +1294,11 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_rejected() {
+        // Version 1 (FNV-1a checksums) is retired: such files must be
+        // rewritten from their source graph.
         let mut bytes = valid_file_bytes("version.srgd");
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_format_err(open_bytes(bytes), "version 99");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_format_err(open_bytes(bytes), "version 1");
     }
 
     #[test]
@@ -1287,7 +1314,7 @@ mod tests {
         bytes[12] = 0x02;
         // Flags are inside the checksummed region; keep the header valid
         // so the flags check itself is what fires.
-        let header = Fnv64::digest(&bytes[..128]);
+        let header = Xxh64::digest(&bytes[..128]);
         bytes[128..136].copy_from_slice(&header.to_le_bytes());
         assert_format_err(open_bytes(bytes), "flags");
     }
@@ -1345,6 +1372,21 @@ mod tests {
         bytes[seg1_off..seg1_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         refresh_checksums(&mut bytes, 1);
         assert_format_err(open_bytes(bytes), "out of range");
+    }
+
+    #[test]
+    fn chunked_bounds_check_names_the_first_bad_id() {
+        let ids: Vec<u8> = [3u32, 9, 7, 12, 4]
+            .iter()
+            .flat_map(|t| t.to_le_bytes())
+            .collect();
+        let mut into = vec![1];
+        let err = decode_u32_checked(&ids, 8, "out_targets", &mut into).unwrap_err();
+        assert!(err.to_string().contains("node id 9 out of range"), "{err}");
+        assert_eq!(into, [1], "a failing chunk decodes nothing");
+        decode_u32_checked(&ids, 13, "out_targets", &mut into).unwrap();
+        assert_eq!(into, [1, 3, 9, 7, 12, 4]);
+        decode_u32_checked(&[], 0, "out_targets", &mut into).unwrap();
     }
 
     #[test]

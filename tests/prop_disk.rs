@@ -15,7 +15,8 @@ use simrank_suite::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use simrank_suite::graph::storage::write_disk_graph;
+use simrank_suite::graph::io::IoError;
+use simrank_suite::graph::storage::{write_disk_graph, SegmentId};
 use simrank_suite::graph::{DiskGraph, DiskGraphOptions};
 
 /// Strategy: a random directed base graph as a built CSR.
@@ -148,6 +149,52 @@ proptest! {
         prop_assert_eq!(&dc, &r.to_csr());
         prop_assert!(dc.validate().is_ok());
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Little-endian `u64` at byte `at` of an `SRGD` superblock.
+fn header_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(a)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // One flipped bit anywhere inside any segment is caught by that
+    // segment's checksum at open: a typed `Format` error naming the
+    // segment — never a clean open, a panic, or a structural or id-bounds
+    // diagnosis of the corrupt bytes.
+    #[test]
+    fn a_flipped_segment_bit_fails_that_segments_checksum(
+        g in arb_graph(40, 200),
+        pick in any::<usize>(),
+        pos in any::<u64>(),
+        bit in 0u32..8,
+    ) {
+        let path = scratch_file();
+        write_disk_graph(&g, &path, 256).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Descriptor i sits at 32 + 24 i: { offset u64, len u64, checksum u64 }.
+        let nonempty: Vec<usize> = (0..4)
+            .filter(|&i| header_u64(&bytes, 32 + 24 * i + 8) > 0)
+            .collect();
+        let seg = nonempty[pick % nonempty.len()];
+        let offset = header_u64(&bytes, 32 + 24 * seg);
+        let len = header_u64(&bytes, 32 + 24 * seg + 8);
+        bytes[(offset + pos % len) as usize] ^= 1 << bit;
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = DiskGraph::open_fs(&path, DiskGraphOptions::default());
+        let _ = std::fs::remove_file(&path);
+        let want = format!("{} checksum mismatch", SegmentId::ALL[seg].name());
+        match opened {
+            Err(IoError::Format(msg)) => {
+                prop_assert!(msg.contains(&want), "{:?} lacks {:?}", msg, want)
+            }
+            Err(e) => prop_assert!(false, "wanted a Format error {:?}, got {}", want, e),
+            Ok(_) => prop_assert!(false, "a corrupt file opened (wanted {:?})", want),
+        }
     }
 }
 
