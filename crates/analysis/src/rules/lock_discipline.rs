@@ -389,12 +389,11 @@ fn f(&self) {
 
     #[test]
     fn guard_temporary_inside_an_initializer_dies_at_the_semicolon() {
-        // `let` binds the *taken value*, not the guard — the
-        // `pending_touched` lock is released before `published` is
-        // acquired (the real `refresh_cut` shape in sharded.rs).
+        // `let` binds the *taken value*, not the guard — the `pending`
+        // lock is released before `published` is acquired.
         let src = "\
 fn f(&self) {
-    let mut touched = std::mem::take(&mut *self.pending_touched.lock().unwrap_or_else(|p| p.into_inner()));
+    let mut touched = std::mem::take(&mut *self.pending.lock().unwrap_or_else(|p| p.into_inner()));
     let published = self.published.write().unwrap_or_else(|p| p.into_inner());
 }
 ";

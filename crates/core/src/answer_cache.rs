@@ -263,9 +263,14 @@ impl AnswerCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let entry = shard.slots[idx]
-            .as_mut()
-            .expect("map points at a live slot");
+        debug_assert!(shard.slots[idx].is_some(), "map points at a live slot");
+        let Some(entry) = shard.slots[idx].as_mut() else {
+            // A broken map→slot link is a miss that drops the map entry.
+            shard.map.remove(key);
+            // relaxed: monotone stat counter, advisory reads only.
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
         let stale_by = epoch.saturating_sub(entry.valid_epoch);
         if stale_by <= self.max_stale_epochs {
             entry.referenced = true;
@@ -315,15 +320,18 @@ impl AnswerCache {
             .lock()
             .unwrap_or_else(|p| p.into_inner());
         if let Some(&idx) = shard.map.get(&key) {
-            let existing = shard.slots[idx]
-                .as_mut()
-                .expect("map points at a live slot");
-            if existing.computed_epoch < computed_epoch {
-                *existing = entry;
-                // relaxed: monotone stat counter, advisory reads only.
-                self.insertions.fetch_add(1, Ordering::Relaxed);
+            debug_assert!(shard.slots[idx].is_some(), "map points at a live slot");
+            if let Some(existing) = shard.slots[idx].as_mut() {
+                if existing.computed_epoch < computed_epoch {
+                    *existing = entry;
+                    // relaxed: monotone stat counter, advisory reads only.
+                    self.insertions.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
             }
-            return;
+            // A broken map→slot link drops the map entry; the insert below
+            // takes a fresh slot.
+            shard.map.remove(&key);
         }
         let idx = if shard.slots.len() < self.per_shard_capacity {
             shard.slots.push(None);

@@ -103,7 +103,7 @@ pub trait SnapshotSource: Send + Sync + 'static {
     fn acquire(&self) -> (Arc<Self::View>, u64);
 
     /// Lock-free hint of the current version tag — a relaxed atomic load
-    /// that may briefly lag a concurrent publish/refresh but never runs
+    /// that may briefly lag a concurrent publish or commit but never runs
     /// ahead of one. Workers use it to skip the read lock + `Arc` clone
     /// of [`acquire`](Self::acquire) when the version is unchanged since
     /// their last acquire, and to probe the answer cache before touching
@@ -947,7 +947,7 @@ fn worker_loop<S: SnapshotSource + ?Sized>(source: &S, ctx: WorkerContext) {
 mod tests {
     use super::*;
     use crate::Config;
-    use simrank_graph::{gen, GraphUpdate, HashPartitioner};
+    use simrank_graph::{gen, GraphUpdate, RangePartitioner};
 
     fn options(workers: usize, cap: usize) -> FrontendOptionsBuilder {
         FrontendOptions::builder()
@@ -998,7 +998,7 @@ mod tests {
     #[test]
     fn sharded_source_reports_cuts_and_matches_direct_queries() {
         let base = gen::gnm(120, 500, 9);
-        let store = Arc::new(ShardedStore::new(&base, HashPartitioner::new(3)));
+        let store = Arc::new(ShardedStore::new(&base, RangePartitioner::new(120, 3)));
         store.commit(&[GraphUpdate::Insert(0, 119), GraphUpdate::Insert(1, 118)]);
         let engine = SimPush::new(Config::new(0.05));
         let frontend = Frontend::start(&engine, store.clone(), options(2, 16).build());

@@ -57,8 +57,8 @@
 //! # Serving front-end (dynamic graphs, admission control)
 //!
 //! The [`Frontend`] serves the paper's "frequent updates" scenario end to
-//! end: writers commit edge-update batches to a
-//! [`GraphStore`](simrank_graph::GraphStore) or to the K shards of a
+//! end: a writer commits edge-update batches to a
+//! [`GraphStore`](simrank_graph::GraphStore) or a
 //! [`ShardedStore`](simrank_graph::ShardedStore) while it answers queries
 //! on immutable epoch / consistent-cut snapshots, under real arrival
 //! traffic: a bounded admission queue with non-blocking backpressure

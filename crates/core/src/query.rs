@@ -141,6 +141,9 @@ impl QueryResult {
             entries.truncate(k);
         }
         entries.sort_unstable_by(rank);
+        // Answers outlive the query (tickets, caches): keep k entries, not
+        // the capacity of every nonzero score.
+        entries.shrink_to_fit();
         entries
     }
 }
@@ -443,6 +446,19 @@ mod tests {
         let res = SimPush::new(Config::new(0.02)).query(&g, 42);
         for k in [1, 5, 50, 1999, 5000] {
             assert_eq!(res.top_k(k), top_k_full_sort(&res, k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn top_k_holds_no_capacity_past_its_entries() {
+        let g = simrank_graph::gen::copying_web(2000, 5, 0.7, 13);
+        let res = SimPush::new(Config::new(0.02)).query(&g, 42);
+        let nonzero = res.scores.iter().filter(|&&s| s > 0.0).count();
+        assert!(nonzero > 100, "the query must reach many nodes");
+        for k in [0, 1, 5, 50] {
+            let top = res.top_k(k);
+            assert_eq!(top.len(), k);
+            assert!(top.capacity() <= k, "k={k}: capacity {}", top.capacity());
         }
     }
 

@@ -68,10 +68,12 @@ pub fn reverse_push_with<G: GraphView>(
         residue.reset(n);
     }
     for (id, &(lvl, w)) in att.nodes.iter().enumerate() {
-        let h = gu.levels[lvl as usize]
-            .h
-            .get(w)
-            .expect("attention node missing from its level");
+        // Attention nodes are drawn from their level's `h`, so `w` is there.
+        let h = gu.levels[lvl as usize].h.get(w);
+        debug_assert!(h.is_some(), "attention node missing from its level");
+        let Some(h) = h else {
+            continue;
+        };
         let r = h * gammas[id];
         if r > 0.0 {
             ws.residues[lvl as usize].add(w, r);

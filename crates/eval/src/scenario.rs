@@ -44,12 +44,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simpush::{
     ControlLog, Controller, ControllerOptions, Frontend, FrontendOptions, QueryOutcome, SimPush,
-    Ticket,
 };
 use simrank_common::stats::LatencySummary;
 use simrank_common::NodeId;
 use simrank_graph::{CsrGraph, GraphStore, GraphUpdate, GraphView};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fraction of each ramp segment's arrivals whose answers are left out of
@@ -834,9 +833,7 @@ fn segment_outcomes(
 /// from `start`), `try_submit`s that arrival's key and never waits for the
 /// server; a rejected submission is dropped (the front-end counts it).
 /// Returns the outcome of every *accepted* arrival with its index, in
-/// arrival order. A second thread waits on the tickets as they are
-/// accepted, so a resolved ticket does not hold its response for the rest
-/// of the run.
+/// arrival order; the tickets are waited on once every arrival is in.
 ///
 /// # Panics
 /// Panics if `keys` is shorter than `arrivals`.
@@ -846,26 +843,19 @@ fn submit_open_loop(
     arrivals: &[Duration],
     keys: &[NodeId],
 ) -> Vec<(usize, QueryOutcome)> {
-    let mut outcomes = Vec::with_capacity(arrivals.len());
-    // The scope joins the waiter once the sender drops at the end of the
-    // closure, and re-raises a panic of it.
-    std::thread::scope(|scope| {
-        let (accepted, tickets) = mpsc::channel::<(usize, Ticket)>();
-        let waited = &mut outcomes;
-        scope.spawn(move || waited.extend(tickets.into_iter().map(|(i, t)| (i, t.wait()))));
-        for (i, &offset) in arrivals.iter().enumerate() {
-            let target = start + offset;
-            let now = Instant::now();
-            if target > now {
-                std::thread::sleep(target - now);
-            }
-            if let Ok(ticket) = frontend.try_submit(keys[i]) {
-                // Only fails if the waiter died, which the scope re-raises.
-                let _ = accepted.send((i, ticket));
-            }
+    let mut tickets = Vec::with_capacity(arrivals.len());
+    for (i, &offset) in arrivals.iter().enumerate() {
+        let target = start + offset;
+        let now = Instant::now();
+        if target > now {
+            std::thread::sleep(target - now);
         }
-    });
-    outcomes
+        tickets.extend(frontend.try_submit(keys[i]).ok().map(|ticket| (i, ticket)));
+    }
+    tickets
+        .into_iter()
+        .map(|(i, ticket)| (i, ticket.wait()))
+        .collect()
 }
 
 /// Runs one scenario through a fresh store + [`Frontend`], with a paced

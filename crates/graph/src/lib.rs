@@ -16,10 +16,10 @@
 //!   publishes immutable epoch [`GraphSnapshot`]s that many reader threads
 //!   query while the writer keeps mutating, with automatic compaction back
 //!   into CSR past a churn threshold.
-//! * [`ShardedStore`] — the horizontally scalable serving layer: the node
-//!   universe partitioned across K single-writer [`GraphStore`] shards by a
-//!   pluggable [`Partitioner`] (hash or range), each publishing
-//!   independently; queries run against composite consistent-cut
+//! * [`ShardedStore`] — the node universe partitioned across K
+//!   [`GraphStore`] shards by a [`Partitioner`] (contiguous ranges in
+//!   [`RangePartitioner`]), so each compaction rebuilds one shard; one
+//!   write door, `commit`, publishes composite consistent-cut
 //!   [`ShardedSnapshot`]s that route node id → shard.
 //! * [`GraphBuilder`] — edge accumulation with deduplication, self-loop
 //!   policy and undirected symmetrisation (paper §2.1 converts undirected
@@ -30,7 +30,7 @@
 //!   and a compact binary snapshot format for dataset caching.
 //! * [`storage`] — the out-of-core tier: the `SRGD` on-disk CSR layout with
 //!   a checksummed superblock, pluggable storage [`Adaptor`]s (heap,
-//!   buffered file, mmap), cost-model-driven segment placement, and
+//!   buffered file, mmap), one-rule segment pinning under a byte budget, and
 //!   [`DiskGraph`], which serves [`GraphView`] queries straight off the file
 //!   so every algorithm runs on graphs larger than RAM unchanged.
 //! * [`base`] — [`GraphBase`], the RAM-or-disk snapshot base that
@@ -57,14 +57,12 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use mutable::MutableGraph;
 pub use overlay::DeltaOverlay;
-pub use sharded::{
-    CutInfo, HashPartitioner, Partitioner, RangePartitioner, ShardedSnapshot, ShardedStore,
-};
+pub use sharded::{CutInfo, Partitioner, RangePartitioner, ShardedSnapshot, ShardedStore};
 pub use simrank_common::NodeId;
 pub use stats::GraphStats;
 pub use storage::{
-    Adaptor, AffineStorageProfile, DiskGraph, DiskGraphOptions, FsAdaptor, MemAdaptor, MmapAdaptor,
-    PlacementReport, SegmentId, TierStats,
+    Adaptor, DiskGraph, DiskGraphOptions, FsAdaptor, MemAdaptor, MmapAdaptor, PlacementReport,
+    SegmentId, TierStats,
 };
 pub use store::{GraphSnapshot, GraphStore, GraphUpdate, PublishInfo};
 pub use view::GraphView;

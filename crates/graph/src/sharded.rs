@@ -1,13 +1,10 @@
-//! [`ShardedStore`]: the node universe partitioned across K single-writer
-//! [`GraphStore`] shards, queried through composite consistent-cut
-//! snapshots.
+//! [`ShardedStore`]: the node universe partitioned across K [`GraphStore`]
+//! shards behind one write door, queried through composite
+//! consistent-cut snapshots.
 //!
-//! A single [`GraphStore`] serialises all updates behind one writer lock,
-//! so update throughput tops out at one writer no matter how much hardware
-//! serves the graph. `ShardedStore` removes that ceiling by partitioning
-//! the **node universe** (not the edge set) across K shards with a
-//! pluggable [`Partitioner`]: shard `k` owns every node `v` with
-//! `shard_of(v) == k` and stores the full adjacency — out- *and*
+//! `ShardedStore` partitions the **node universe** (not the edge set)
+//! across K shards with a [`Partitioner`]: shard `k` owns every node `v`
+//! with `shard_of(v) == k` and stores the full adjacency — out- *and*
 //! in-neighbour lists — of its owned nodes. An edge `(s, t)` therefore
 //! lives in shard `p(s)` (which serves `out_neighbors(s)`) and is
 //! *mirrored* into shard `p(t)` when the edge crosses shards, so that
@@ -17,40 +14,34 @@
 //! fraction of edges whose endpoints land in different shards — which is
 //! exactly what a locality-aware [`RangePartitioner`] minimises.
 //!
-//! # Why sharding helps
+//! # What sharding buys
 //!
-//! * **K independent writers.** Each shard is a single-writer
-//!   [`GraphStore`]; K writer threads apply and publish concurrently with
-//!   no shared lock (`lockstep_writers` in `tests/integration_serve.rs`
-//!   drives exactly this shape beside a live front-end).
-//! * **Smaller compaction domains.** A shard compaction rebuilds
-//!   `O(n + m_k)` instead of `O(n + m)`; with a locality-friendly
-//!   partitioner `m_k ≈ m / K`, so the amortised compaction cost per
-//!   update drops by up to K× even before any parallelism (the
-//!   benchmark's `ingest_sharded` workload reads it off `sharded.*`).
+//! **Smaller compaction domains.** A shard compaction rebuilds
+//! `O(n + m_k)` instead of `O(n + m)`; with a locality-friendly
+//! partitioner `m_k ≈ m / K`, so the amortised compaction cost per update
+//! drops by up to K× (the benchmark's `ingest_sharded` workload reads it
+//! off `sharded.*`). Writes are not parallel: there is one writer.
 //!
-//! # Consistent cuts
+//! # One write door, consistent cuts
 //!
-//! A reader never assembles its own view from live shards — it acquires a
-//! [`ShardedSnapshot`] that the store [`refresh`](ShardedStore::refresh)ed
-//! at a **quiescent cut**: a point where every shard had published all
-//! updates of the same global batch prefix (and, crucially, both sides of
-//! every mirrored cross-shard edge). The snapshot is an `Arc`'d vector of
-//! per-shard epoch [`GraphSnapshot`]s plus the partitioner; it implements
-//! [`GraphView`] by routing node id → shard, so SimPush queries run
-//! unchanged — and bit-identically to a single [`GraphStore`] or a fresh
-//! CSR rebuild of the same logical graph (`tests/prop_sharded.rs` pins
-//! this). The sequential [`commit`](ShardedStore::commit) refreshes
-//! automatically; concurrent serving loops publish per shard and call
-//! [`refresh`](ShardedStore::refresh) from exactly one thread at a barrier
-//! between batches.
+//! [`commit`](ShardedStore::commit) is the only way to change the store.
+//! It holds one writer lock from routing the batch, through every shard's
+//! apply and publish, to the swap of the composite cut, so concurrent
+//! commits serialise exactly like [`GraphStore::commit`]s and every cut
+//! carries both sides of every mirrored cross-shard edge. A reader
+//! acquires a [`ShardedSnapshot`]: an `Arc`'d vector of per-shard epoch
+//! [`GraphSnapshot`]s plus the partitioner. It implements [`GraphView`] by
+//! routing node id → shard, so SimPush queries run unchanged — and
+//! bit-identically to a single [`GraphStore`] or a fresh CSR rebuild of
+//! the same logical graph (`tests/prop_sharded.rs` pins this, and that
+//! racing commits never publish a torn cut).
 
 use crate::csr::CsrGraph;
-use crate::store::{GraphSnapshot, GraphStore, GraphUpdate, PublishInfo};
+use crate::store::{GraphSnapshot, GraphStore, GraphUpdate};
 use crate::view::GraphView;
 use simrank_common::NodeId;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 /// Maps node ids to shard indices. Implementations must be pure functions
@@ -63,40 +54,6 @@ pub trait Partitioner: Send + Sync {
 
     /// The shard owning node `v`; must be `< num_shards()`.
     fn shard_of(&self, v: NodeId) -> usize;
-}
-
-/// Fibonacci-hash partitioner: spreads node ids uniformly across shards
-/// regardless of id locality. Best load balance, worst edge locality
-/// (expected cross-shard edge fraction `(K-1)/K` on id-uncorrelated
-/// graphs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HashPartitioner {
-    shards: usize,
-}
-
-impl HashPartitioner {
-    /// A hash partitioner over `shards` shards.
-    ///
-    /// # Panics
-    /// Panics if `shards` is 0.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        Self { shards }
-    }
-}
-
-impl Partitioner for HashPartitioner {
-    #[inline]
-    fn num_shards(&self) -> usize {
-        self.shards
-    }
-
-    #[inline]
-    fn shard_of(&self, v: NodeId) -> usize {
-        // Fibonacci hashing: multiply by ⌊2^64/φ⌋ and keep the high bits,
-        // which are well mixed even for sequential ids.
-        (((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % self.shards
-    }
 }
 
 /// Contiguous-range partitioner: shard `k` owns ids
@@ -143,18 +100,17 @@ impl Partitioner for RangePartitioner {
     }
 }
 
-/// What one [`refresh_cut`](ShardedStore::refresh_cut) did — the sharded
-/// analogue of [`PublishInfo`].
+/// What one [`commit`](ShardedStore::commit) published — the sharded
+/// analogue of [`PublishInfo`](crate::PublishInfo).
 #[derive(Debug, Clone)]
 pub struct CutInfo {
     /// The new consistent-cut number readers now acquire.
     pub cut: u64,
     /// Distinct endpoints of the effective updates this cut made visible
-    /// (sorted ascending), aggregated across every shard publish since the
-    /// previous refresh. Mirror-side applies touch the same endpoints as
-    /// their owner-side twin, so aggregation dedups rather than
-    /// double-reports. Empty when the cut only re-assembled already-clean
-    /// shards (e.g. compaction-only publishes).
+    /// (sorted ascending), aggregated across the commit's shard publishes.
+    /// Mirror-side applies touch the same endpoints as their owner-side
+    /// twin, so aggregation dedups rather than double-reports. Empty when
+    /// the commit changed nothing.
     pub touched: Vec<NodeId>,
 }
 
@@ -178,7 +134,7 @@ pub struct ShardedSnapshot<P: Partitioner> {
 
 impl<P: Partitioner> ShardedSnapshot<P> {
     /// The cut sequence number (0 = the initial base; +1 per
-    /// [`refresh`](ShardedStore::refresh)).
+    /// [`commit`](ShardedStore::commit)).
     pub fn cut(&self) -> u64 {
         self.cut
     }
@@ -233,14 +189,14 @@ impl<P: Partitioner> GraphView for ShardedSnapshot<P> {
     }
 }
 
-/// K single-writer [`GraphStore`] shards behind one composite
-/// consistent-cut snapshot.
+/// K [`GraphStore`] shards behind one composite consistent-cut snapshot
+/// and one write door, [`commit`](Self::commit).
 ///
 /// ```
-/// use simrank_graph::{gen, GraphUpdate, GraphView, HashPartitioner, ShardedStore};
+/// use simrank_graph::{gen, GraphUpdate, GraphView, RangePartitioner, ShardedStore};
 ///
 /// let base = gen::gnm(100, 400, 1);
-/// let store = ShardedStore::new(&base, HashPartitioner::new(4));
+/// let store = ShardedStore::new(&base, RangePartitioner::new(100, 4));
 /// let before = store.snapshot(); // cut 0
 /// store.commit(&[GraphUpdate::Insert(0, 99)]);
 /// let after = store.snapshot();
@@ -249,40 +205,21 @@ impl<P: Partitioner> GraphView for ShardedSnapshot<P> {
 /// assert_eq!(before.num_edges() + 1, after.num_edges());
 /// assert!(after.has_edge(0, 99) && !before.has_edge(0, 99));
 /// ```
-///
-/// Two usage modes:
-///
-/// * **Sequential** — [`commit`](Self::commit) applies a batch to every
-///   incident shard, publishes them all and refreshes the composite:
-///   semantics identical to a single [`GraphStore`] commit.
-/// * **Concurrent** — K writer threads each drive one shard through
-///   [`apply_shard`](Self::apply_shard) /
-///   [`publish_shard`](Self::publish_shard) on the per-shard sub-batches
-///   from [`route_batch`](Self::route_batch), then exactly one thread
-///   calls [`refresh`](Self::refresh) while no publish is in flight (a
-///   barrier between batches — see `lockstep_writers` in
-///   `tests/integration_serve.rs`).
-///   Readers call [`snapshot`](Self::snapshot) at any time and always see
-///   the latest consistent cut, never a torn half-mirrored state.
 #[derive(Debug)]
 pub struct ShardedStore<P: Partitioner + Clone> {
     partitioner: P,
     shards: Vec<GraphStore>,
     n: usize,
-    /// Logical edge count (each cross-shard edge counted once). Only the
-    /// owner-side (source shard) application of an update adjusts it, so
-    /// mirrored applies never double-count.
-    m: AtomicUsize,
+    /// The write door: held by [`commit`](Self::commit) from routing to
+    /// the cut swap. Guards the logical edge count (each cross-shard edge
+    /// counted once).
+    writer: Mutex<usize>,
     /// The current consistent cut; readers clone the `Arc` under a read
     /// lock, exactly like [`GraphStore::snapshot`].
     published: RwLock<Arc<ShardedSnapshot<P>>>,
     /// Lock-free mirror of the published cut number — the
     /// [`version_hint`](Self::version_hint) fast path.
     version: AtomicU64,
-    /// Endpoints touched by shard publishes since the last refresh
-    /// (unsorted, possibly repeated across mirrored applies); drained into
-    /// [`CutInfo::touched`] by [`refresh_cut`](Self::refresh_cut).
-    pending_touched: Mutex<Vec<NodeId>>,
 }
 
 impl<P: Partitioner + Clone> ShardedStore<P> {
@@ -346,43 +283,10 @@ impl<P: Partitioner + Clone> ShardedStore<P> {
             partitioner,
             shards,
             n,
-            m: AtomicUsize::new(base.num_edges()),
+            writer: Mutex::new(base.num_edges()),
             published: RwLock::new(initial),
             version: AtomicU64::new(0),
-            pending_touched: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The partitioner routing nodes to shards.
-    pub fn partitioner(&self) -> &P {
-        &self.partitioner
-    }
-
-    /// Number of shards (== `partitioner().num_shards()`).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Nodes in the shared universe (every shard spans all of them).
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Logical edges currently applied (published or not; cross-shard
-    /// edges counted once). Exact only at quiescence — with applies in
-    /// flight on other threads it is a racy point-in-time read.
-    pub fn num_edges(&self) -> usize {
-        // relaxed: plain counter; exactness is guaranteed by the
-        // fetch-level atomicity alone, and callers that need a stable
-        // value already hold a barrier (join/commit), which orders it.
-        self.m.load(Ordering::Relaxed)
-    }
-
-    /// Direct read access to shard `k`'s [`GraphStore`] (for inspection;
-    /// mutate through [`apply_shard`](Self::apply_shard) so the logical
-    /// edge count stays accurate).
-    pub fn shard(&self, k: usize) -> &GraphStore {
-        &self.shards[k]
     }
 
     /// Total compactions across all shards.
@@ -396,7 +300,7 @@ impl<P: Partitioner + Clone> ShardedStore<P> {
     }
 
     /// The current consistent cut, as an `Arc` the caller can hold
-    /// indefinitely — refreshes never mutate a published snapshot.
+    /// indefinitely — commits never mutate a published snapshot.
     pub fn snapshot(&self) -> Arc<ShardedSnapshot<P>> {
         self.published
             .read()
@@ -406,151 +310,89 @@ impl<P: Partitioner + Clone> ShardedStore<P> {
 
     /// Lock-free hint of the current cut number — same contract as
     /// [`GraphStore::version_hint`]: a relaxed load that may briefly lag a
-    /// concurrent refresh, advances by exactly 1 per
-    /// [`refresh`](Self::refresh)/[`refresh_cut`](Self::refresh_cut), and
-    /// never moves on shard applies or publishes alone.
+    /// concurrent commit and advances by exactly 1 per
+    /// [`commit`](Self::commit).
     pub fn version_hint(&self) -> u64 {
         // relaxed: a hint may lag the published cut, as documented above
         // — staleness is bounded and benign, nothing orders on it.
         self.version.load(Ordering::Relaxed)
     }
 
-    /// Splits a batch into per-shard sub-batches: update `(s, t)` goes to
-    /// shard `p(s)` and — when the edge crosses shards — is mirrored to
-    /// `p(t)`, preserving stream order within every sub-batch. Both copies
-    /// of a cross-shard update must be applied (and published) before the
-    /// next [`refresh`](Self::refresh) for the cut to be consistent.
-    pub fn route_batch(&self, updates: &[GraphUpdate]) -> Vec<Vec<GraphUpdate>> {
-        let mut routed: Vec<Vec<GraphUpdate>> = vec![Vec::new(); self.num_shards()];
+    fn lock_writer(&self) -> MutexGuard<'_, usize> {
+        // The panic `commit` documents (an out-of-range endpoint) fires
+        // while routing, before any shard is touched, so a poisoned lock
+        // still guards an exact edge count.
+        self.writer.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Applies `updates` and publishes them as the next consistent cut:
+    /// update `(s, t)` goes to shard `p(s)` and, when the edge crosses
+    /// shards, is mirrored to `p(t)`, in stream order; every shard then
+    /// publishes and the composite swaps to the new cut. Semantically
+    /// identical to [`GraphStore::commit`] on an unsharded store, also
+    /// under concurrent callers. Returns the logically effective update
+    /// count and the new cut's [`CutInfo`].
+    ///
+    /// # Panics
+    /// Panics if any update names an out-of-range endpoint; the store is
+    /// then left unchanged.
+    pub fn commit(&self, updates: &[GraphUpdate]) -> (usize, CutInfo) {
+        // Lock order: this writer lock, then each shard's own writer and
+        // `published` locks, then our `published` swap — the order
+        // `GraphStore::publish` takes.
+        let mut m = self.lock_writer();
+        let mut routed: Vec<Vec<GraphUpdate>> = vec![Vec::new(); self.shards.len()];
         for &u in updates {
             let (s, t) = u.endpoints();
-            let ps = self.partitioner.shard_of(s);
-            let pt = self.partitioner.shard_of(t);
+            assert!(
+                (s as usize) < self.n && (t as usize) < self.n,
+                "edge endpoint out of range"
+            );
+            let (ps, pt) = (self.partitioner.shard_of(s), self.partitioner.shard_of(t));
             routed[ps].push(u);
             if pt != ps {
                 routed[pt].push(u);
             }
         }
-        routed
-    }
-
-    /// Applies `updates` to shard `k`'s working overlay — the single-writer
-    /// step of shard `k`'s writer thread, fed by that shard's sub-batch
-    /// from [`route_batch`](Self::route_batch). Returns how many updates
-    /// were **owner-effective**: effective *and* owned by shard `k`
-    /// (`p(src) == k`), which is each update's logical effectiveness
-    /// counted exactly once across shards. Mirror-side applies adjust the
-    /// shard but never the logical edge count.
-    ///
-    /// # Panics
-    /// Panics if any update names an out-of-range endpoint.
-    pub fn apply_shard(&self, k: usize, updates: &[GraphUpdate]) -> usize {
-        let shard = &self.shards[k];
-        let mut owner_effective = 0;
-        for &u in updates {
-            let (s, t) = u.endpoints();
-            let effective = match u {
-                GraphUpdate::Insert(..) => shard.insert_edge(s, t),
-                GraphUpdate::Remove(..) => shard.remove_edge(s, t),
-            };
-            if effective && self.partitioner.shard_of(s) == k {
-                // relaxed: plain counter of effective updates; the RMW's
-                // atomicity keeps it exact, and readers that need a
-                // stable value synchronize elsewhere (see num_edges).
-                match u {
-                    GraphUpdate::Insert(..) => self.m.fetch_add(1, Ordering::Relaxed),
-                    GraphUpdate::Remove(..) => self.m.fetch_sub(1, Ordering::Relaxed),
+        // Only the owner-side (source shard) apply counts, so a mirrored
+        // update is neither counted twice nor moves the edge count twice.
+        let mut effective = 0;
+        let mut touched = Vec::new();
+        for (k, (shard, sub)) in self.shards.iter().zip(&routed).enumerate() {
+            for &u in sub {
+                let (s, t) = u.endpoints();
+                let applied = match u {
+                    GraphUpdate::Insert(..) => shard.insert_edge(s, t),
+                    GraphUpdate::Remove(..) => shard.remove_edge(s, t),
                 };
-                owner_effective += 1;
+                if applied && self.partitioner.shard_of(s) == k {
+                    effective += 1;
+                    match u {
+                        GraphUpdate::Insert(..) => *m += 1,
+                        GraphUpdate::Remove(..) => *m -= 1,
+                    }
+                }
             }
+            touched.extend_from_slice(&shard.publish().touched);
         }
-        owner_effective
-    }
-
-    /// Publishes shard `k`'s working overlay as its next epoch (compacting
-    /// past the per-shard threshold). Invisible to readers of the
-    /// composite until the next [`refresh`](Self::refresh). The publish's
-    /// touched endpoints are accumulated for the next
-    /// [`refresh_cut`](Self::refresh_cut)'s aggregated delta (and still
-    /// reported in the returned [`PublishInfo`]).
-    pub fn publish_shard(&self, k: usize) -> PublishInfo {
-        let info = self.shards[k].publish();
-        if !info.touched.is_empty() {
-            self.pending_touched
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .extend_from_slice(&info.touched);
-        }
-        info
-    }
-
-    /// Assembles the current per-shard epochs into a new composite cut and
-    /// makes it the snapshot readers acquire. Returns the new cut number.
-    ///
-    /// **Consistency contract:** call this only when every update applied
-    /// so far has been published by *all* of its incident shards (e.g. a
-    /// barrier between batches, or the sequential [`commit`](Self::commit)
-    /// which upholds the contract itself). Refreshing mid-publish cannot
-    /// corrupt anything — readers just see a cut where a cross-shard
-    /// edge's two half-views disagree, which is no longer a single logical
-    /// graph.
-    pub fn refresh(&self) -> u64 {
-        self.refresh_cut().cut
-    }
-
-    /// [`refresh`](Self::refresh) returning the full [`CutInfo`]: the new
-    /// cut number plus the aggregated touched-endpoint delta of every
-    /// shard publish folded into this cut — what delta-aware cache
-    /// invalidation consumes. Same consistency contract as `refresh`.
-    pub fn refresh_cut(&self) -> CutInfo {
-        let shards: Vec<Arc<GraphSnapshot>> = self.shards.iter().map(|s| s.snapshot()).collect();
-        // relaxed: the consistency contract above (all applies published
-        // before a refresh) already synchronizes the counter's writers
-        // with this read; atomicity alone keeps the value exact.
-        let m = self.m.load(Ordering::Relaxed);
-        let mut touched = std::mem::take(
-            &mut *self
-                .pending_touched
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()),
-        );
+        // A mirrored apply touches the same endpoints as its owner-side twin.
         touched.sort_unstable();
         touched.dedup();
+        let shards = self.shards.iter().map(GraphStore::snapshot).collect();
         let mut published = self.published.write().unwrap_or_else(|p| p.into_inner());
         let cut = published.cut + 1;
         *published = Arc::new(ShardedSnapshot {
             shards,
             partitioner: self.partitioner.clone(),
             n: self.n,
-            m,
+            m: *m,
             cut,
         });
-        // relaxed: hint stored after the swap, while still holding the
-        // write lock, so hints advance in cut order; staleness is benign
-        // (same rationale as GraphStore) and no memory publishes through
-        // this store.
+        // relaxed: hint stored after the swap, under both locks, so hints
+        // advance in cut order; staleness is benign (same rationale as
+        // GraphStore) and no memory is published through this store.
         self.version.store(cut, Ordering::Relaxed);
-        drop(published);
-        CutInfo { cut, touched }
-    }
-
-    /// Sequential whole-store commit: routes `updates` to their incident
-    /// shards, applies and publishes every shard, then refreshes the
-    /// composite — one new consistent cut per call, semantically identical
-    /// to [`GraphStore::commit`] on an unsharded store. Returns the
-    /// logically effective update count and the new cut's [`CutInfo`]
-    /// (cut number plus aggregated touched endpoints).
-    ///
-    /// # Panics
-    /// Panics if any update names an out-of-range endpoint.
-    pub fn commit(&self, updates: &[GraphUpdate]) -> (usize, CutInfo) {
-        let routed = self.route_batch(updates);
-        let mut effective = 0;
-        for (k, sub) in routed.iter().enumerate() {
-            effective += self.apply_shard(k, sub);
-            self.publish_shard(k);
-        }
-        (effective, self.refresh_cut())
+        (effective, CutInfo { cut, touched })
     }
 }
 
@@ -569,20 +411,6 @@ mod tests {
             };
         }
         replica.snapshot()
-    }
-
-    #[test]
-    fn hash_partitioner_covers_all_shards_and_is_stable() {
-        let p = HashPartitioner::new(4);
-        assert_eq!(p.num_shards(), 4);
-        let mut seen = [false; 4];
-        for v in 0..256 {
-            let s = p.shard_of(v);
-            assert!(s < 4);
-            assert_eq!(s, p.shard_of(v), "routing must be pure");
-            seen[s] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "256 ids should hit all 4 shards");
     }
 
     #[test]
@@ -610,7 +438,7 @@ mod tests {
     fn composite_view_equals_base_at_cut_zero() {
         let base = gen::gnm(60, 300, 5);
         for k in [1, 2, 4] {
-            let store = ShardedStore::new(&base, HashPartitioner::new(k));
+            let store = ShardedStore::new(&base, RangePartitioner::new(60, k));
             let snap = store.snapshot();
             assert_eq!(snap.cut(), 0);
             assert_eq!(snap.num_shards(), k);
@@ -625,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_matches_mutable_replay_for_both_partitioners() {
+    fn commit_matches_mutable_replay_at_three_and_four_shards() {
         let base = gen::gnm(40, 160, 9);
         let updates = [
             GraphUpdate::Insert(0, 39),
@@ -635,8 +463,8 @@ mod tests {
             GraphUpdate::Insert(0, 39), // re-insert after remove
         ];
         let want = replay(&base, &updates);
-        let hashed = ShardedStore::new(&base, HashPartitioner::new(3));
-        let (eff, cut) = hashed.commit(&updates);
+        let three = ShardedStore::new(&base, RangePartitioner::new(40, 3));
+        let (eff, cut) = three.commit(&updates);
         assert_eq!(eff, 5, "every update in the stream is effective");
         assert_eq!(cut.cut, 1);
         assert_eq!(
@@ -644,25 +472,24 @@ mod tests {
             vec![0, 1, 38, 39],
             "aggregated distinct endpoints, mirrors deduplicated"
         );
-        assert_eq!(hashed.snapshot().to_csr(), want);
-        assert_eq!(hashed.num_edges(), want.num_edges());
+        assert_eq!(three.snapshot().to_csr(), want);
+        assert_eq!(three.snapshot().num_edges(), want.num_edges());
 
-        let ranged = ShardedStore::new(&base, RangePartitioner::new(40, 4));
-        ranged.commit(&updates);
-        assert_eq!(ranged.snapshot().to_csr(), want);
-        assert_eq!(ranged.num_edges(), want.num_edges());
+        let four = ShardedStore::new(&base, RangePartitioner::new(40, 4));
+        four.commit(&updates);
+        assert_eq!(four.snapshot().to_csr(), want);
+        assert_eq!(four.snapshot().num_edges(), want.num_edges());
     }
 
     #[test]
     fn noop_updates_do_not_change_the_logical_edge_count() {
         let base = GraphBuilder::new().with_edges([(0, 1), (2, 3)]).build();
-        let store = ShardedStore::new(&base, HashPartitioner::new(2));
+        let store = ShardedStore::new(&base, RangePartitioner::new(4, 2));
         let (eff, _) = store.commit(&[
             GraphUpdate::Insert(0, 1), // already present
             GraphUpdate::Remove(1, 2), // absent
         ]);
         assert_eq!(eff, 0);
-        assert_eq!(store.num_edges(), 2);
         assert_eq!(store.snapshot().num_edges(), 2);
     }
 
@@ -678,84 +505,57 @@ mod tests {
         assert_eq!(p.shard_of(3), 1);
         let store = ShardedStore::new(&base, p);
         // Each shard holds the full cross edge; the composite counts it once.
-        assert_eq!(store.shard(0).snapshot().num_edges(), 1);
-        assert_eq!(store.shard(1).snapshot().num_edges(), 1);
-        assert_eq!(store.snapshot().num_edges(), 1);
-        // Routed reads come from the owner of each endpoint.
         let snap = store.snapshot();
+        assert_eq!(snap.shard(0).num_edges(), 1);
+        assert_eq!(snap.shard(1).num_edges(), 1);
+        assert_eq!(snap.num_edges(), 1);
+        // Routed reads come from the owner of each endpoint.
         assert_eq!(snap.out_neighbors(0), &[3]);
         assert_eq!(snap.in_neighbors(3), &[0]);
-        // Removing it empties both shards and the logical count.
-        store.commit(&[GraphUpdate::Remove(0, 3)]);
-        assert_eq!(store.shard(0).snapshot().num_edges(), 0);
-        assert_eq!(store.shard(1).snapshot().num_edges(), 0);
-        assert_eq!(store.snapshot().num_edges(), 0);
-    }
-
-    #[test]
-    fn route_batch_mirrors_cross_updates_and_preserves_order() {
-        let base = GraphBuilder::new().with_num_nodes(4).build();
-        let store = ShardedStore::new(&base, RangePartitioner::new(4, 2));
-        let routed = store.route_batch(&[
+        // A commit routes each update to its source's shard and mirrors
+        // only the cross one; removing the cross edge empties both shards.
+        store.commit(&[
             GraphUpdate::Insert(0, 1), // shard 0 only
-            GraphUpdate::Insert(0, 3), // cross: shards 0 and 1
+            GraphUpdate::Remove(0, 3), // cross: shards 0 and 1
             GraphUpdate::Insert(2, 3), // shard 1 only
         ]);
-        assert_eq!(
-            routed[0],
-            vec![GraphUpdate::Insert(0, 1), GraphUpdate::Insert(0, 3)]
-        );
-        assert_eq!(
-            routed[1],
-            vec![GraphUpdate::Insert(0, 3), GraphUpdate::Insert(2, 3)]
-        );
+        let snap = store.snapshot();
+        assert_eq!(snap.shard(0).to_csr().edges().collect::<Vec<_>>(), [(0, 1)]);
+        assert_eq!(snap.shard(1).to_csr().edges().collect::<Vec<_>>(), [(2, 3)]);
+        assert_eq!(snap.num_edges(), 2);
     }
 
     #[test]
     fn snapshots_are_immutable_cuts() {
         let base = gen::gnm(30, 120, 2);
-        let store = ShardedStore::new(&base, HashPartitioner::new(2));
+        let store = ShardedStore::new(&base, RangePartitioner::new(30, 2));
         let before = store.snapshot();
-        // Applied but unrefreshed updates are invisible…
-        let routed = store.route_batch(&[GraphUpdate::Insert(0, 29)]);
-        for (k, sub) in routed.iter().enumerate() {
-            store.apply_shard(k, sub);
-            store.publish_shard(k);
-        }
-        assert_eq!(store.snapshot().cut(), 0, "no refresh yet");
-        assert_eq!(store.snapshot().num_edges(), base.num_edges());
-        // …until refresh, and old cuts never change.
-        let cut = store.refresh();
-        assert_eq!(cut, 1);
-        assert_eq!(before.num_edges(), base.num_edges());
+        store.commit(&[GraphUpdate::Insert(0, 29)]);
+        // The commit is visible at the next cut, and old cuts never change.
+        assert_eq!(store.snapshot().cut(), 1);
         assert_eq!(store.snapshot().num_edges(), base.num_edges() + 1);
+        assert_eq!(before.cut(), 0);
+        assert_eq!(before.num_edges(), base.num_edges());
+        assert!(!before.has_edge(0, 29));
     }
 
     #[test]
-    fn version_hint_advances_exactly_on_refresh() {
+    fn version_hint_advances_exactly_once_per_commit() {
         let base = gen::gnm(30, 120, 4);
-        let store = ShardedStore::new(&base, HashPartitioner::new(2));
+        let store = ShardedStore::new(&base, RangePartitioner::new(30, 2));
         assert_eq!(store.version_hint(), 0);
-        // Applies and per-shard publishes leave the hint untouched…
-        let routed = store.route_batch(&[GraphUpdate::Insert(0, 29)]);
-        for (k, sub) in routed.iter().enumerate() {
-            store.apply_shard(k, sub);
-            store.publish_shard(k);
-        }
-        assert_eq!(
-            store.version_hint(),
-            0,
-            "publish alone must not move the hint"
-        );
-        // …and each refresh advances it by exactly one, in step with the cut.
-        let info = store.refresh_cut();
+        let (_, info) = store.commit(&[GraphUpdate::Insert(0, 29)]);
         assert_eq!(info.cut, 1);
         assert_eq!(store.version_hint(), 1);
         assert_eq!(info.touched, vec![0, 29]);
-        let empty = store.refresh_cut();
-        assert_eq!(empty.cut, 2);
+        // An empty commit still publishes a cut, with an empty delta.
+        let (eff, empty) = store.commit(&[]);
+        assert_eq!((eff, empty.cut), (0, 2));
         assert_eq!(store.version_hint(), 2);
-        assert!(empty.touched.is_empty(), "no publishes since the last cut");
+        assert!(
+            empty.touched.is_empty(),
+            "nothing changed since the last cut"
+        );
     }
 
     #[test]
@@ -769,15 +569,14 @@ mod tests {
             .map(|i| GraphUpdate::Insert(i as NodeId, (i + 5) as NodeId))
             .collect(); // all endpoints < 12 → shard 0 only
         store.commit(&updates);
-        assert!(store.shard(0).compactions() >= 1);
-        assert_eq!(store.shard(1).compactions(), 0);
-        assert_eq!(store.compactions(), store.shard(0).compactions());
+        assert_eq!(store.compactions(), 1, "shard 1 saw no churn");
+        assert_eq!(store.snapshot().shard(0).churn(), 0, "shard 0 compacted");
     }
 
     #[test]
     fn single_shard_store_degenerates_to_graph_store_semantics() {
         let base = gen::gnm(50, 200, 7);
-        let sharded = ShardedStore::new(&base, HashPartitioner::new(1));
+        let sharded = ShardedStore::new(&base, RangePartitioner::new(50, 1));
         let single = GraphStore::new(base.clone());
         let updates: Vec<GraphUpdate> = (0..10)
             .map(|i| GraphUpdate::Insert((i * 3 % 50) as NodeId, ((i * 7 + 1) % 50) as NodeId))
@@ -789,15 +588,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_out_of_range_update() {
+    fn rejects_out_of_range_update_and_stays_unchanged() {
         let base = GraphBuilder::new().with_num_nodes(4).build();
-        ShardedStore::new(&base, HashPartitioner::new(2)).commit(&[GraphUpdate::Insert(0, 9)]);
+        let store = ShardedStore::new(&base, RangePartitioner::new(4, 2));
+        let batch = [GraphUpdate::Insert(0, 1), GraphUpdate::Insert(0, 9)];
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.commit(&batch);
+        }));
+        assert!(panicked.is_err(), "an out-of-range endpoint must panic");
+        // Nothing of the batch was applied: the next commit publishes only
+        // its own update.
+        let (eff, info) = store.commit(&[GraphUpdate::Insert(2, 3)]);
+        assert_eq!((eff, info.cut), (1, 1));
+        assert_eq!(info.touched, vec![2, 3]);
+        assert_eq!(store.snapshot().num_edges(), 1);
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn rejects_zero_shards() {
-        HashPartitioner::new(0);
+        RangePartitioner::new(4, 0);
     }
 }

@@ -4,62 +4,11 @@
 //! every byte it reads goes through an `Adaptor`, so the same on-disk
 //! layout is servable from the heap (tests, pre-loaded datasets), from
 //! buffered positional file reads (the portable baseline), or from a
-//! demand-paged memory mapping (the fast path on Unix). Each backend also
-//! reports an [`AffineStorageProfile`] — the `cost(bytes) = latency +
-//! bytes / bandwidth` model the placement policy uses to decide which
-//! segments are worth pinning in RAM (cf. airindex's storage profiles).
+//! demand-paged memory mapping (the fast path on Unix).
 
 use crate::io::IoError;
 use std::fs::File;
 use std::path::Path;
-
-/// Affine cost model for one storage tier: a fixed per-access latency plus
-/// a bandwidth term.
-///
-/// `cost_ns(bytes) = latency_ns + bytes / bandwidth_bytes_per_ns`. The
-/// absolute numbers are calibration defaults, not measurements; what the
-/// placement policy consumes is the *relative* per-byte cost between a
-/// tier and RAM, which is robust to the constants being off by a small
-/// factor. See `docs/STORAGE.md` for the derivation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AffineStorageProfile {
-    /// Fixed cost of one read call, in nanoseconds (seek/syscall/fault).
-    pub latency_ns: f64,
-    /// Streaming throughput, in bytes per nanosecond (= GB/s).
-    pub bandwidth_bytes_per_ns: f64,
-}
-
-impl AffineStorageProfile {
-    /// DRAM: no access setup cost beyond a cache miss, tens of GB/s.
-    pub const RAM: Self = Self {
-        latency_ns: 100.0,
-        bandwidth_bytes_per_ns: 20.0,
-    };
-
-    /// Buffered file reads: a syscall per access, NVMe-class bandwidth.
-    pub const BUFFERED_FS: Self = Self {
-        latency_ns: 60_000.0,
-        bandwidth_bytes_per_ns: 2.0,
-    };
-
-    /// Memory-mapped file: a page fault on first touch, then page-cache
-    /// bandwidth.
-    pub const MMAP: Self = Self {
-        latency_ns: 5_000.0,
-        bandwidth_bytes_per_ns: 8.0,
-    };
-
-    /// Modelled cost of reading `bytes` contiguous bytes in one access.
-    pub fn cost_ns(&self, bytes: u64) -> f64 {
-        self.latency_ns + bytes as f64 / self.bandwidth_bytes_per_ns
-    }
-
-    /// Modelled cost per byte when reads arrive as `page_bytes`-sized
-    /// accesses — the unit the placement policy compares tiers in.
-    pub fn per_byte_cost_ns(&self, page_bytes: u64) -> f64 {
-        self.cost_ns(page_bytes) / page_bytes.max(1) as f64
-    }
-}
 
 /// Read-at-offset access to one storage device holding an `SRGD` file.
 ///
@@ -86,9 +35,6 @@ pub trait Adaptor: Send + Sync + std::fmt::Debug {
     /// Fills `buf` from absolute byte `offset`. All-or-nothing: on `Ok`
     /// every byte of `buf` was read.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), IoError>;
-
-    /// The cost model for this tier (drives placement decisions).
-    fn profile(&self) -> AffineStorageProfile;
 
     /// Short stable tier name for logs, stats and bench JSON
     /// (`"mem"`, `"fs"`, `"mmap"`).
@@ -143,10 +89,6 @@ impl Adaptor for MemAdaptor {
         Ok(())
     }
 
-    fn profile(&self) -> AffineStorageProfile {
-        AffineStorageProfile::RAM
-    }
-
     fn tier(&self) -> &'static str {
         "mem"
     }
@@ -157,8 +99,7 @@ impl Adaptor for MemAdaptor {
 /// Positional reads carry no shared cursor, so one open file handle serves
 /// all reader threads concurrently. On non-Unix targets, where positional
 /// reads aren't in std's portable API, the file is buffered on the heap at
-/// open instead (read-only semantics are identical; the cost profile is
-/// then pessimistic).
+/// open instead (read-only semantics are identical).
 #[derive(Debug)]
 pub struct FsAdaptor {
     #[cfg(unix)]
@@ -226,10 +167,6 @@ impl Adaptor for FsAdaptor {
         Ok(())
     }
 
-    fn profile(&self) -> AffineStorageProfile {
-        AffineStorageProfile::BUFFERED_FS
-    }
-
     fn tier(&self) -> &'static str {
         "fs"
     }
@@ -265,10 +202,6 @@ impl Adaptor for MmapAdaptor {
         let start = offset as usize;
         buf.copy_from_slice(&self.map[start..start + buf.len()]);
         Ok(())
-    }
-
-    fn profile(&self) -> AffineStorageProfile {
-        AffineStorageProfile::MMAP
     }
 
     fn tier(&self) -> &'static str {
@@ -338,18 +271,5 @@ mod tests {
         let path = temp_file("tiers.bin", &[0u8; 16]);
         let names: Vec<&str> = backends(&path).iter().map(|a| a.tier()).collect();
         assert_eq!(names, ["mem", "fs", "mmap"]);
-    }
-
-    #[test]
-    fn cost_model_orders_tiers_sensibly() {
-        let page = 16_384;
-        let ram = AffineStorageProfile::RAM.per_byte_cost_ns(page);
-        let mmap = AffineStorageProfile::MMAP.per_byte_cost_ns(page);
-        let fs = AffineStorageProfile::BUFFERED_FS.per_byte_cost_ns(page);
-        assert!(ram < mmap && mmap < fs, "{ram} {mmap} {fs}");
-        // Latency dominates small reads; bandwidth dominates large ones.
-        let p = AffineStorageProfile::BUFFERED_FS;
-        assert!(p.cost_ns(64) < p.cost_ns(1 << 20));
-        assert!(p.per_byte_cost_ns(64) > p.per_byte_cost_ns(1 << 20));
     }
 }

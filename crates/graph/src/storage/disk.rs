@@ -842,7 +842,7 @@ impl DiskGraph {
             sb.segs[2].len,
             sb.segs[3].len,
         ];
-        let placement = plan_placement(seg_bytes, &adaptor.profile(), ps, opts.budget_bytes);
+        let placement = plan_placement(seg_bytes, opts.budget_bytes);
         let counters = Arc::new(TierCounters::default());
 
         // Offset segments: always streamed and validated in full.

@@ -5,20 +5,19 @@
 //! past commodity memory, so this module adds a storage tier the query path
 //! can read *through* without deserialising the whole file:
 //!
-//! * [`Adaptor`] — byte-level read-at-offset access to a storage device,
-//!   with an [`AffineStorageProfile`] cost model per backend. Three
-//!   backends: [`MemAdaptor`] (heap), [`FsAdaptor`] (buffered positional
+//! * [`Adaptor`] — byte-level read-at-offset access to a storage device.
+//!   Three backends: [`MemAdaptor`] (heap), [`FsAdaptor`] (buffered positional
 //!   file reads), [`MmapAdaptor`] (demand-paged mapping).
 //! * [`disk`] — the `SRGD` on-disk CSR layout: a checksummed superblock,
 //!   four page-aligned segments (out/in offsets and elements), per-segment
 //!   XXH64 checksums, and [`DiskGraph`], which implements [`GraphView`] by
 //!   faulting fixed-size pages in on demand, so SimPush and the walk
 //!   engines run on it unchanged.
-//! * [`placement`] — the cost-model-driven decision of which segments to
-//!   pin fully in RAM under a byte budget, plus tier/page-fault counters
+//! * [`placement`] — the one rule deciding which segments to pin fully in
+//!   RAM under a byte budget, plus tier/page-fault counters
 //!   ([`TierStats`]) for observability.
 //!
-//! The full layout, failure-mode, and cost-model story lives in
+//! The full layout, failure-mode, and placement story lives in
 //! `docs/STORAGE.md`; the conversion seam from the existing `SRG1` binary
 //! snapshot format is [`disk::convert_binary`].
 //!
@@ -28,7 +27,7 @@ pub mod adaptor;
 pub mod disk;
 pub mod placement;
 
-pub use adaptor::{Adaptor, AffineStorageProfile, FsAdaptor, MemAdaptor, MmapAdaptor};
+pub use adaptor::{Adaptor, FsAdaptor, MemAdaptor, MmapAdaptor};
 pub use disk::{
     convert_binary, write_disk_graph, DiskGraph, DiskGraphOptions, DEFAULT_PAGE_SIZE,
     MAX_PAGE_SIZE, MIN_PAGE_SIZE,

@@ -1,20 +1,15 @@
-//! Cost-model-driven segment placement and tier observability counters.
+//! Segment placement and tier observability counters.
 //!
 //! An `SRGD` file holds four segments (out/in offsets and elements). Under
 //! a RAM byte budget, [`plan_placement`] decides which of them to pin
 //! fully in memory at open and which to leave on the storage tier behind
-//! the page cache. The decision is a greedy knapsack over *benefit per
-//! byte*: how many modelled nanoseconds of tier access cost one pinned
-//! byte avoids, weighted by how often the query path touches that segment
-//! (offset words are read on **every** neighbour resolution; element pages
-//! only when a list lands on them). Greedy is within one segment of
-//! optimal here because there are only four items and the offset segments
-//! are both small and high-benefit — in practice they always pin first,
-//! which is exactly the intuitive layout (index in RAM, data on disk).
+//! the page cache, by one rule: offsets before elements (resolving any
+//! neighbour list reads two offset words, but element bytes only of the
+//! list asked for), out before in, each segment pinned if it still fits.
+//! With a budget of a quarter of the file, that is the intuitive layout:
+//! index in RAM, data on disk.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use super::adaptor::AffineStorageProfile;
 
 /// The four segments of an `SRGD` file, in on-disk order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,17 +42,6 @@ impl SegmentId {
             SegmentId::InSources => "in_sources",
         }
     }
-
-    /// Relative access frequency of this segment per neighbour-list
-    /// resolution. Resolving one list reads two offset words *always*,
-    /// and element bytes only for the list actually requested, so offset
-    /// bytes are far hotter per byte than element bytes.
-    fn access_weight(self) -> f64 {
-        match self {
-            SegmentId::OutOffsets | SegmentId::InOffsets => 8.0,
-            SegmentId::OutTargets | SegmentId::InSources => 1.0,
-        }
-    }
 }
 
 /// What [`plan_placement`] decided for one segment.
@@ -69,9 +53,6 @@ pub struct SegmentPlacement {
     pub bytes: u64,
     /// True if the segment is decoded fully into RAM at open.
     pub pinned: bool,
-    /// Modelled nanoseconds of tier cost avoided per pinned byte — the
-    /// greedy ranking key.
-    pub benefit_per_byte: f64,
 }
 
 /// The placement decision for a whole file under one budget.
@@ -99,31 +80,11 @@ impl PlacementReport {
     }
 }
 
-/// Decides which segments to pin in RAM.
-///
-/// `seg_bytes` are the exact payload sizes in [`SegmentId::ALL`] order,
-/// `tier` is the cost profile of the adaptor the unpinned remainder will
-/// be read through, and `page_bytes` is the file's page size (the unit
-/// reads arrive in). Benefit per byte for a segment is
-///
-/// ```text
-/// weight(segment) × (per_byte_cost(tier, page) − per_byte_cost(RAM, page))
-/// ```
-///
-/// clamped at zero (pinning never looks *worse* than the tier it
-/// replaces). Segments are pinned greedily in descending benefit order
-/// while they fit in `budget_bytes`; ties break in on-disk order so the
-/// plan is deterministic.
-pub fn plan_placement(
-    seg_bytes: [u64; 4],
-    tier: &AffineStorageProfile,
-    page_bytes: u64,
-    budget_bytes: u64,
-) -> PlacementReport {
-    let tier_cost = tier.per_byte_cost_ns(page_bytes);
-    let ram_cost = AffineStorageProfile::RAM.per_byte_cost_ns(page_bytes);
-    let saved = (tier_cost - ram_cost).max(0.0);
-
+/// Decides which segments to pin in RAM: out-offsets, in-offsets,
+/// out-targets, in-sources, in that order, each one if it still fits in
+/// what is left of `budget_bytes`. `seg_bytes` are the exact payload
+/// sizes in [`SegmentId::ALL`] order.
+pub fn plan_placement(seg_bytes: [u64; 4], budget_bytes: u64) -> PlacementReport {
     let mut entries: Vec<SegmentPlacement> = SegmentId::ALL
         .iter()
         .zip(seg_bytes)
@@ -131,28 +92,22 @@ pub fn plan_placement(
             segment,
             bytes,
             pinned: false,
-            benefit_per_byte: segment.access_weight() * saved,
         })
         .collect();
-
-    // Rank by benefit, greedily pin while under budget. Sorting an index
-    // permutation keeps `entries` itself in on-disk order for reporting.
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by(|&a, &b| {
-        entries[b]
-            .benefit_per_byte
-            .total_cmp(&entries[a].benefit_per_byte)
-            .then(entries[a].segment.cmp(&entries[b].segment))
-    });
     let mut pinned_bytes = 0u64;
-    for i in order {
-        let e = &mut entries[i];
+    for segment in [
+        SegmentId::OutOffsets,
+        SegmentId::InOffsets,
+        SegmentId::OutTargets,
+        SegmentId::InSources,
+    ] {
+        // `SegmentId` discriminants are the on-disk order of `entries`.
+        let e = &mut entries[segment as usize];
         if pinned_bytes.saturating_add(e.bytes) <= budget_bytes {
             e.pinned = true;
             pinned_bytes += e.bytes;
         }
     }
-
     PlacementReport {
         budget_bytes,
         pinned_bytes,
@@ -244,43 +199,24 @@ impl TierStats {
 mod tests {
     use super::*;
 
-    const PAGE: u64 = 16_384;
-
     #[test]
     fn zero_budget_pins_nothing() {
-        let plan = plan_placement(
-            [800, 40_000, 800, 40_000],
-            &AffineStorageProfile::BUFFERED_FS,
-            PAGE,
-            0,
-        );
+        let plan = plan_placement([800, 40_000, 800, 40_000], 0);
         assert_eq!(plan.pinned_segments(), 0);
         assert_eq!(plan.pinned_bytes, 0);
     }
 
     #[test]
     fn unlimited_budget_pins_everything() {
-        let plan = plan_placement(
-            [800, 40_000, 800, 40_000],
-            &AffineStorageProfile::BUFFERED_FS,
-            PAGE,
-            u64::MAX,
-        );
+        let plan = plan_placement([800, 40_000, 800, 40_000], u64::MAX);
         assert_eq!(plan.pinned_segments(), 4);
         assert_eq!(plan.pinned_bytes, 81_600);
     }
 
     #[test]
     fn tight_budget_prefers_offset_segments() {
-        // Budget fits both offset arrays but neither element array: the
-        // higher access weight must win even though elements are "bigger
-        // savings" in absolute terms.
-        let plan = plan_placement(
-            [800, 40_000, 800, 40_000],
-            &AffineStorageProfile::BUFFERED_FS,
-            PAGE,
-            2_000,
-        );
+        // Budget fits both offset arrays but neither element array.
+        let plan = plan_placement([800, 40_000, 800, 40_000], 2_000);
         assert!(plan.is_pinned(SegmentId::OutOffsets));
         assert!(plan.is_pinned(SegmentId::InOffsets));
         assert!(!plan.is_pinned(SegmentId::OutTargets));
@@ -290,40 +226,27 @@ mod tests {
 
     #[test]
     fn budget_spills_over_to_element_segments_in_disk_order() {
-        let plan = plan_placement(
-            [800, 40_000, 800, 40_000],
-            &AffineStorageProfile::MMAP,
-            PAGE,
-            45_000,
-        );
+        let plan = plan_placement([800, 40_000, 800, 40_000], 45_000);
         assert!(plan.is_pinned(SegmentId::OutOffsets));
         assert!(plan.is_pinned(SegmentId::InOffsets));
         assert!(
             plan.is_pinned(SegmentId::OutTargets),
-            "tie between element segments breaks in on-disk order"
+            "out-targets are offered the budget before in-sources"
         );
         assert!(!plan.is_pinned(SegmentId::InSources));
     }
 
     #[test]
-    fn ram_tier_has_zero_benefit_but_still_pins_under_budget() {
-        // Pinning from a MemAdaptor saves nothing in the model (both sides
-        // are RAM) but is harmless; with budget it still pins.
-        let plan = plan_placement([8, 8, 8, 8], &AffineStorageProfile::RAM, PAGE, u64::MAX);
-        assert_eq!(plan.pinned_segments(), 4);
-        for e in &plan.entries {
-            assert_eq!(e.benefit_per_byte, 0.0, "{:?}", e.segment);
-        }
+    fn a_segment_that_does_not_fit_is_skipped_not_a_stop() {
+        let plan = plan_placement([800, 40_000, 800, 300], 2_000);
+        assert!(!plan.is_pinned(SegmentId::OutTargets));
+        assert!(plan.is_pinned(SegmentId::InSources));
+        assert_eq!(plan.pinned_bytes, 1_900);
     }
 
     #[test]
     fn report_entries_stay_in_disk_order() {
-        let plan = plan_placement(
-            [1, 2, 3, 4],
-            &AffineStorageProfile::BUFFERED_FS,
-            PAGE,
-            u64::MAX,
-        );
+        let plan = plan_placement([1, 2, 3, 4], u64::MAX);
         let order: Vec<SegmentId> = plan.entries.iter().map(|e| e.segment).collect();
         assert_eq!(order, SegmentId::ALL);
     }

@@ -44,9 +44,8 @@ pub enum GraphUpdate {
 
 impl GraphUpdate {
     /// The `(src, dst)` endpoints of the edge this update names,
-    /// independent of direction of change — what routing layers (e.g.
-    /// [`ShardedStore::route_batch`](crate::ShardedStore::route_batch))
-    /// partition on.
+    /// independent of direction of change — what
+    /// [`ShardedStore::commit`](crate::ShardedStore::commit) routes on.
     #[inline]
     pub fn endpoints(&self) -> (NodeId, NodeId) {
         match *self {

@@ -25,8 +25,8 @@ pub mod prelude {
     pub use simrank_graph::gen::shapes;
     pub use simrank_graph::{
         CsrGraph, DeltaOverlay, DiskGraph, DiskGraphOptions, GraphBase, GraphBuilder,
-        GraphSnapshot, GraphStore, GraphUpdate, GraphView, HashPartitioner, MutableGraph,
-        Partitioner, RangePartitioner, ShardedSnapshot, ShardedStore,
+        GraphSnapshot, GraphStore, GraphUpdate, GraphView, MutableGraph, Partitioner,
+        RangePartitioner, ShardedSnapshot, ShardedStore,
     };
     pub use simrank_walks::{pairwise_simrank_mc, WalkParams};
 }

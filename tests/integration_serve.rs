@@ -13,10 +13,8 @@
 //!   version's graph, reconstructed by replaying the committed update
 //!   prefix ([`MixedWorkload::graph_after`]).
 //!
-//! [`lockstep_writers`] is the concurrent K-writer protocol of
-//! [`ShardedStore`] — one thread per shard, `apply_shard` →
-//! `publish_shard` → barrier → one `refresh` → barrier — and the sharded
-//! tests run it beside a live front-end.
+//! The sharded tests serve a [`ShardedStore`] the same way: its writer
+//! commits one consistent cut per batch through `commit`.
 
 use simpush::{
     Config, Frontend, FrontendOptions, FrontendResponse, QueryOutcome, SimPush, SnapshotSource,
@@ -25,7 +23,7 @@ use simpush::{
 use simrank_eval::mixed::{mixed_workload, sharded_workload, MixedWorkload};
 use simrank_eval::scenario::{calibrate, catalog, run_scenario, ScenarioScale};
 use simrank_suite::prelude::*;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The answer an accepted request for `u` resolved to; panics on any
@@ -102,50 +100,6 @@ fn serve_while<S: SnapshotSource, W: Send>(
     (written, answers)
 }
 
-/// Commits `updates` in global batches of `batch` through the concurrent
-/// K-writer protocol: each global batch is routed once, then one thread
-/// per shard applies and publishes its sub-batch and waits on a barrier,
-/// the barrier's leader refreshes the composite, and nobody starts the
-/// next batch before a second wait — a publish racing the refresh would
-/// tear the cut. Returns one `(shard, batch, applied)` record per shard
-/// commit, grouped by shard, then batch; `applied` counts owner-effective
-/// updates, so each logical update is counted once.
-fn lockstep_writers<P: Partitioner + Clone>(
-    store: &ShardedStore<P>,
-    updates: &[GraphUpdate],
-    batch: usize,
-) -> Vec<(usize, usize, usize)> {
-    let routed: Vec<Vec<Vec<GraphUpdate>>> = updates
-        .chunks(batch)
-        .map(|b| store.route_batch(b))
-        .collect();
-    let barrier = Barrier::new(store.num_shards());
-    std::thread::scope(|scope| {
-        let writers: Vec<_> = (0..store.num_shards())
-            .map(|shard| {
-                let (routed, barrier) = (&routed, &barrier);
-                scope.spawn(move || {
-                    let mut commits = Vec::with_capacity(routed.len());
-                    for (g, subs) in routed.iter().enumerate() {
-                        let applied = store.apply_shard(shard, &subs[shard]);
-                        store.publish_shard(shard);
-                        commits.push((shard, g, applied));
-                        if barrier.wait().is_leader() {
-                            store.refresh();
-                        }
-                        barrier.wait();
-                    }
-                    commits
-                })
-            })
-            .collect();
-        writers
-            .into_iter()
-            .flat_map(|w| w.join().expect("shard writer panicked"))
-            .collect()
-    })
-}
-
 #[test]
 fn single_reader_single_writer_serve_mixed_is_pinned() {
     const BATCH: usize = 8;
@@ -212,30 +166,23 @@ fn sharded_serve_cuts_replay_to_exact_answers() {
     ));
     let engine = SimPush::new(Config::new(0.05));
 
+    // The writer records (effective, cut) per committed batch.
     let (commits, answers) = serve_while(&engine, &store, 2, TOP_K, &workload.queries, || {
-        lockstep_writers(&store, &workload.updates, BATCH)
+        workload
+            .updates
+            .chunks(BATCH)
+            .map(|batch| {
+                let (effective, info) = store.commit(batch);
+                (effective, info.cut)
+            })
+            .collect::<Vec<_>>()
     });
 
-    // Pinned shape: 80 updates / 16 per global batch = 5 cuts, one commit
-    // record per (shard, batch), all effective.
+    // Pinned shape: 80 updates / 16 per batch = 5 cuts, published in
+    // sequence, every update effective.
     assert_eq!(answers.len(), 10);
     assert_eq!(store.snapshot().cut(), 5);
-    assert_eq!(commits.len(), SHARDS * 5);
-    assert_eq!(
-        commits
-            .iter()
-            .map(|&(_, _, applied)| applied)
-            .sum::<usize>(),
-        80
-    );
-    for shard in 0..SHARDS {
-        let batches: Vec<usize> = commits
-            .iter()
-            .filter(|&&(s, _, _)| s == shard)
-            .map(|&(_, batch, _)| batch)
-            .collect();
-        assert_eq!(batches, vec![0, 1, 2, 3, 4], "shard {shard} commit order");
-    }
+    assert_eq!(commits, (1..=5).map(|cut| (BATCH, cut)).collect::<Vec<_>>());
 
     // Final state equals the sequential replay.
     assert_eq!(
@@ -458,8 +405,8 @@ fn scenario_answers_replay_bit_identically_on_their_epochs() {
 #[test]
 fn sharded_and_unsharded_serving_agree_on_every_cut_boundary() {
     // Serve the same workload through a front-end over a single store
-    // (one committing writer) and over 3 hash shards (the lockstep
-    // writers) with the same batch size: every answer replays on its
+    // and over 3 range shards, one committing writer each, with the same
+    // batch size: every answer replays on its
     // version, the final graphs are identical, and sequential re-commits
     // of each batch produce identical per-boundary graphs — the
     // serving-level restatement of the prop_sharded bit-identity
@@ -478,18 +425,20 @@ fn sharded_and_unsharded_serving_agree_on_every_cut_boundary() {
     assert_replays(&engine, &base, &workload, BATCH, 1, &answers);
     let sharded = Arc::new(ShardedStore::with_compaction_threshold(
         &base,
-        HashPartitioner::new(3),
+        RangePartitioner::new(120, 3),
         12,
     ));
-    let (_, answers) = serve_while(&engine, &sharded, 2, 1, &workload.queries, || {
-        lockstep_writers(&sharded, &workload.updates, BATCH)
+    let ((), answers) = serve_while(&engine, &sharded, 2, 1, &workload.queries, || {
+        for batch in workload.updates.chunks(BATCH) {
+            sharded.commit(batch);
+        }
     });
     assert_replays(&engine, &base, &workload, BATCH, 1, &answers);
     assert_eq!(single.snapshot().to_csr(), sharded.snapshot().to_csr());
 
     // Boundary-by-boundary agreement via sequential commits.
     let single2 = GraphStore::new(base.clone());
-    let sharded2 = ShardedStore::new(&base, HashPartitioner::new(3));
+    let sharded2 = ShardedStore::new(&base, RangePartitioner::new(120, 3));
     for batch in workload.updates.chunks(BATCH) {
         single2.commit(batch);
         sharded2.commit(batch);

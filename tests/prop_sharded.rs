@@ -1,12 +1,13 @@
 //! Property tests for the sharded serving layer: a [`ShardedStore`] fed
-//! any update stream through any partitioner must present *exactly* the
+//! any update stream over any shard count must present *exactly* the
 //! graph that a single [`GraphStore`] and a from-scratch CSR rebuild
 //! present — same routed adjacency slices, same edge count, and
 //! bit-identical SimPush answers — no matter how updates distribute over
 //! shards, where per-shard compaction fires, or how many cross-shard
 //! edges get mirrored. This is the determinism guarantee that makes
 //! sharding a pure scalability choice, extending `prop_store`'s
-//! overlay-vs-rebuild contract one level up.
+//! overlay-vs-rebuild contract one level up. Concurrent commits keep it:
+//! every cut a reader acquires is one logical graph.
 
 use proptest::prelude::*;
 use simpush::{Config, SimPush};
@@ -26,34 +27,11 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-/// Either partitioner flavour, over `n` nodes and `k` shards.
-#[derive(Debug, Clone, Copy)]
-enum AnyPartitioner {
-    Hash(HashPartitioner),
-    Range(RangePartitioner),
-}
-
-impl Partitioner for AnyPartitioner {
-    fn num_shards(&self) -> usize {
-        match self {
-            AnyPartitioner::Hash(p) => p.num_shards(),
-            AnyPartitioner::Range(p) => p.num_shards(),
-        }
-    }
-
-    fn shard_of(&self, v: NodeId) -> usize {
-        match self {
-            AnyPartitioner::Hash(p) => p.shard_of(v),
-            AnyPartitioner::Range(p) => p.shard_of(v),
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // Random update streams chopped into random commit batches, applied
-    // three ways — ShardedStore (random K and partitioner flavour, with a
+    // three ways — ShardedStore (random K over a range partitioner, with a
     // compaction threshold low enough to fire mid-stream), single
     // GraphStore, MutableGraph replay. After every batch boundary the
     // sharded composite must match the single store structurally; at the
@@ -64,16 +42,11 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0usize..10_000, 0usize..10_000), 0..50),
         batch_size in 1usize..12,
         shards in 1usize..9,
-        use_range in any::<bool>(),
         eps in 0.02f64..0.1,
         threshold in 1usize..10,
     ) {
         let n = base.num_nodes();
-        let partitioner = if use_range {
-            AnyPartitioner::Range(RangePartitioner::new(n, shards))
-        } else {
-            AnyPartitioner::Hash(HashPartitioner::new(shards))
-        };
+        let partitioner = RangePartitioner::new(n, shards);
         let sharded = ShardedStore::with_compaction_threshold(&base, partitioner, threshold);
         let single = GraphStore::with_compaction_threshold(base.clone(), threshold);
         let mut replica = MutableGraph::from_csr(&base);
@@ -134,30 +107,84 @@ proptest! {
         }
     }
 
-    // Applied-but-unrefreshed updates must be invisible: the composite
-    // only advances on refresh, and old cuts never change.
+    // Every commit publishes exactly one new cut — an empty or no-op
+    // batch included — the version hint follows it, and a cut a reader
+    // holds never changes.
     #[test]
-    fn composite_cuts_only_advance_on_refresh(
+    fn composite_cuts_advance_once_per_commit(
         base in arb_graph(16, 40),
         ops in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..16),
         shards in 1usize..4,
     ) {
         let n = base.num_nodes();
-        let store = ShardedStore::new(&base, HashPartitioner::new(shards));
+        let store = ShardedStore::new(&base, RangePartitioner::new(n, shards));
         let before = store.snapshot();
-        for (a, b) in ops {
+        let mut edges = base.num_edges();
+        for (i, (a, b)) in ops.into_iter().enumerate() {
             let u = GraphUpdate::Insert((a % n) as NodeId, (b % n) as NodeId);
-            let routed = store.route_batch(std::slice::from_ref(&u));
-            for (k, sub) in routed.iter().enumerate() {
-                store.apply_shard(k, sub);
-                store.publish_shard(k);
-            }
-            prop_assert_eq!(store.snapshot().cut(), 0, "cut advanced without refresh");
-            prop_assert_eq!(store.snapshot().num_edges(), base.num_edges());
+            let batch = if i % 3 == 2 { Vec::new() } else { vec![u] };
+            let (effective, info) = store.commit(&batch);
+            edges += effective;
+            prop_assert_eq!(info.cut, i as u64 + 1, "one cut per commit");
+            prop_assert_eq!(store.version_hint(), info.cut);
+            prop_assert_eq!(store.snapshot().cut(), info.cut);
+            prop_assert_eq!(store.snapshot().num_edges(), edges);
+            prop_assert_eq!(before.num_edges(), base.num_edges(), "old Arc unchanged");
+            prop_assert_eq!(before.cut(), 0);
         }
-        store.refresh();
-        prop_assert_eq!(before.num_edges(), base.num_edges(), "old Arc unchanged");
-        prop_assert_eq!(before.cut(), 0);
-        prop_assert_eq!(store.snapshot().cut(), 1);
     }
+}
+
+/// Two writers race [`ShardedStore::commit`] on cross-shard edges while a
+/// reader checks every cut it acquires: each edge is seen from both of its
+/// shards or from neither, and the edge count is the out-list sum.
+#[test]
+fn concurrent_commits_never_publish_a_torn_cut() {
+    const COMMITS: usize = 2_000;
+    const N: NodeId = 8;
+    let base = GraphBuilder::new().with_num_nodes(N as usize).build();
+    // Two range shards, {0..3} and {4..7}: every edge below crosses them.
+    let store = ShardedStore::new(&base, RangePartitioner::new(N as usize, 2));
+    let writer_edges = [[(0, 4), (1, 5)], [(6, 2), (7, 3)]];
+    let torn = std::thread::scope(|scope| {
+        let writers: Vec<_> = writer_edges
+            .into_iter()
+            .map(|[a, b]| {
+                let store = &store;
+                scope.spawn(move || {
+                    store.commit(&[GraphUpdate::Insert(a.0, a.1)]);
+                    for i in 0..COMMITS {
+                        // Swap which of this writer's two edges is present.
+                        let (on, off) = if i % 2 == 0 { (b, a) } else { (a, b) };
+                        store.commit(&[
+                            GraphUpdate::Insert(on.0, on.1),
+                            GraphUpdate::Remove(off.0, off.1),
+                        ]);
+                    }
+                })
+            })
+            .collect();
+        let (mut torn, mut last_cut) = (0, 0);
+        while !writers.iter().all(|w| w.is_finished()) {
+            let snap = store.snapshot();
+            assert!(snap.cut() >= last_cut, "cuts go backwards");
+            last_cut = snap.cut();
+            let symmetric = (0..N).all(|v| {
+                let (out, inn) = (snap.out_neighbors(v), snap.in_neighbors(v));
+                out.iter().all(|&t| snap.in_neighbors(t).contains(&v))
+                    && inn.iter().all(|&s| snap.out_neighbors(s).contains(&v))
+            });
+            let out_sum: usize = (0..N).map(|v| snap.out_degree(v)).sum();
+            torn += usize::from(!symmetric || out_sum != snap.num_edges());
+        }
+        torn
+    });
+    assert_eq!(
+        torn, 0,
+        "cuts with a half-mirrored edge or a wrong edge count"
+    );
+    let commits = (writer_edges.len() * (COMMITS + 1)) as u64;
+    assert_eq!(store.snapshot().cut(), commits, "one cut per commit");
+    assert_eq!(store.version_hint(), commits);
+    assert_eq!(store.snapshot().num_edges(), 2, "one edge per writer");
 }
