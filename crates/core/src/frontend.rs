@@ -669,8 +669,7 @@ impl Frontend {
         // clients from queueing into an overloaded service.
         let sent = if self.quota.get().is_some_and(|quota| depth > quota) {
             Err(SubmitError::Overloaded)
-        } else {
-            let tx = self.tx.as_ref().expect("sender lives until shutdown");
+        } else if let Some(tx) = &self.tx {
             match patience {
                 None => tx.try_send(request).map_err(|e| match e {
                     TrySendError::Full(_) => SubmitError::Overloaded,
@@ -681,6 +680,9 @@ impl Frontend {
                     SendTimeoutError::Disconnected(_) => SubmitError::ShutDown,
                 }),
             }
+        } else {
+            // Only shutdown takes the sender.
+            Err(SubmitError::ShutDown)
         };
         match sent {
             Ok(()) => {
@@ -909,10 +911,11 @@ fn worker_loop<S: SnapshotSource + ?Sized>(source: &S, ctx: WorkerContext) {
             // at, preserving the replay contract.
             Some(hit) => (hit.computed_epoch, hit.top, service_start.elapsed()),
             None => {
-                if !matches!(&held, Some((_, version)) if *version == hint) {
-                    held = Some(source.acquire());
+                if held.as_ref().is_some_and(|(_, version)| *version != hint) {
+                    held = None;
                 }
-                let (snap, epoch) = held.as_ref().map(|(s, v)| (s, *v)).expect("just acquired");
+                let (snap, epoch) = held.get_or_insert_with(|| source.acquire());
+                let epoch = *epoch;
                 let (top, service) = match ctx.cache.as_deref() {
                     Some(cache) => {
                         let tracer = SupportTracer::new(&**snap);

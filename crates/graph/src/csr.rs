@@ -2,9 +2,11 @@
 //!
 //! SimRank algorithms traverse both directions in the hot path: √c-walks and
 //! Source-Push follow **in**-edges, Reverse-Push follows **out**-edges. A
-//! [`CsrGraph`] therefore materialises both adjacency arrays; the in-arrays
-//! are derived from the out-arrays by a counting-sort transpose at build
-//! time, so construction stays `O(n + m)` with no per-edge allocation.
+//! [`CsrGraph`] therefore materialises both adjacency arrays. Built from an
+//! edge list, the in-arrays are derived from the out-arrays by a
+//! counting-sort transpose; compacted from a view that already has both
+//! directions as sorted lists, both are copied list by list. Either way
+//! construction stays `O(n + m)` with no per-edge allocation.
 
 use crate::view::GraphView;
 use simrank_common::mem::LogicalBytes;
@@ -78,6 +80,34 @@ impl CsrGraph {
             in_offsets,
             in_sources,
         }
+    }
+
+    /// Copies the out-lists `outs` and in-lists `ins` of nodes `0, 1, …`
+    /// into a standalone graph with `m` edges: one sequential pass per
+    /// direction, with no edge list and no transpose. The compaction path
+    /// of the stores.
+    ///
+    /// The lists must be sorted, duplicate-free and in range, one per node
+    /// in each direction, and describe the same edges — the [`GraphView`]
+    /// contract every view in this crate keeps. Unlike
+    /// [`from_sorted_edges`](Self::from_sorted_edges), which takes outside
+    /// input, only debug builds check it.
+    pub(crate) fn from_sorted_lists<'g>(
+        m: usize,
+        outs: impl ExactSizeIterator<Item = &'g [NodeId]>,
+        ins: impl ExactSizeIterator<Item = &'g [NodeId]>,
+    ) -> Self {
+        let n = outs.len();
+        let (out_offsets, out_targets) = concat(m, outs);
+        let (in_offsets, in_sources) = concat(m, ins);
+        let csr = Self {
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+        };
+        debug_assert!(csr.num_nodes() == n && csr.num_edges() == m && csr.validate().is_ok());
+        csr
     }
 
     /// Builds the graph with `n` nodes and no edges.
@@ -171,6 +201,21 @@ impl CsrGraph {
         }
         Ok(())
     }
+}
+
+/// The offsets and concatenation of `lists`, which hold `m` ids in all.
+fn concat<'g>(
+    m: usize,
+    lists: impl ExactSizeIterator<Item = &'g [NodeId]>,
+) -> (Vec<usize>, Vec<NodeId>) {
+    let mut offsets = Vec::with_capacity(lists.len() + 1);
+    let mut ids = Vec::with_capacity(m);
+    offsets.push(0);
+    for list in lists {
+        ids.extend_from_slice(list);
+        offsets.push(ids.len());
+    }
+    (offsets, ids)
 }
 
 impl GraphView for CsrGraph {

@@ -8,8 +8,9 @@
 //! [`GraphBase`], either an in-memory CSR or a storage-tiered
 //! [`DiskGraph`](crate::storage::DiskGraph) — plus a small map of *touched*
 //! nodes whose current neighbour lists are materialised in full, sorted.
-//! Untouched nodes read straight from the base, so the overlay's memory and
-//! clone cost scale with the update churn, not with the graph.
+//! Untouched nodes read straight from the base, so the overlay's memory
+//! scales with the update churn, not with the graph; the lists are shared
+//! copy-on-write, so a clone costs a pointer per touched node.
 //!
 //! # Determinism
 //!
@@ -29,23 +30,28 @@ use simrank_common::mem::LogicalBytes;
 use simrank_common::{FxHashMap, NodeId};
 use std::sync::Arc;
 
-/// A copy-on-touch edge delta layered over an immutable CSR snapshot.
+/// Materialised *current* neighbour lists of touched nodes, each sorted and
+/// shared with every published snapshot that has not seen it change since.
+// simcheck: allow(nondet-iteration) — reads are keyed; the only
+// iterations are touched_iter (consumers count or sort), `merged`
+// (sorts by node first) and the order-free logical_bytes sum.
+type Lists = FxHashMap<NodeId, Arc<Vec<NodeId>>>;
+
+/// A copy-on-write edge delta layered over an immutable base.
 ///
-/// Cloning is cheap in the way that matters for epoch publishing: the base
-/// is an [`Arc`] (pointer copy) and only the touched-node lists are deep
-/// copied, so a clone costs `O(churned adjacency)` — bounded by the
-/// [`GraphStore`](crate::GraphStore) compaction threshold — never `O(m)`.
+/// Cloning is what epoch publishing does, and it copies pointers only: the
+/// base and every materialised list are [`Arc`]s, so a clone costs one
+/// pointer copy per touched node — never a list copy, never `O(m)`. The
+/// writer unshares a list (one copy) the first time an update touches it
+/// after a publish, so a held clone never changes, and a publish pays
+/// `O(batch + touched nodes)`.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
     base: Arc<GraphBase>,
-    /// Materialised *current* out-lists of touched nodes (sorted).
-    // simcheck: allow(nondet-iteration) — reads are keyed; the only
-    // iterations are touched_iter (consumers count or sort) and the
-    // order-free logical_bytes sum.
-    outs: FxHashMap<NodeId, Vec<NodeId>>,
-    /// Materialised *current* in-lists of touched nodes (sorted).
-    // simcheck: allow(nondet-iteration) — same argument as `outs` above.
-    ins: FxHashMap<NodeId, Vec<NodeId>>,
+    /// Out-lists of touched nodes.
+    outs: Lists,
+    /// In-lists of touched nodes.
+    ins: Lists,
     /// Current edge count (base ± applied deltas).
     m: usize,
     /// Number of effective updates applied since the base was frozen; the
@@ -61,17 +67,41 @@ pub struct DeltaOverlay {
     recent: Vec<NodeId>,
 }
 
+/// `v`'s list in `lists`, materialised from `base` on first touch and
+/// unshared from every snapshot still holding it, ready to be written.
+fn list_mut<'a, 'b>(
+    lists: &'a mut Lists,
+    v: NodeId,
+    base: impl FnOnce() -> &'b [NodeId],
+) -> &'a mut Vec<NodeId> {
+    Arc::make_mut(lists.entry(v).or_insert_with(|| Arc::new(base().to_vec())))
+}
+
+/// Every node's current list in one direction, `0..n` in order: `lists`'
+/// entries merged by sorted node id into the `base` lists, with no hash
+/// probe per node.
+fn merged<'a>(
+    lists: &'a Lists,
+    base: impl Fn(NodeId) -> &'a [NodeId] + 'a,
+    n: usize,
+) -> impl ExactSizeIterator<Item = &'a [NodeId]> + 'a {
+    let mut touched: Vec<_> = lists.iter().collect();
+    touched.sort_unstable_by_key(|&(&v, _)| v);
+    let mut touched = touched.into_iter().peekable();
+    (0..n as NodeId).map(move |v| match touched.next_if(|&(&t, _)| t == v) {
+        Some((_, list)) => list.as_slice(),
+        None => base(v),
+    })
+}
+
 impl DeltaOverlay {
     /// Creates an empty overlay over `base` (reads are pure pass-through).
     pub fn new(base: Arc<GraphBase>) -> Self {
         let m = base.num_edges();
         Self {
             base,
-            // simcheck: allow(nondet-iteration) — empty constructors for
-            // the keyed delta lists above; see the field arguments.
-            outs: FxHashMap::default(),
-            // simcheck: allow(nondet-iteration) — as for `outs`.
-            ins: FxHashMap::default(),
+            outs: Lists::default(),
+            ins: Lists::default(),
             m,
             churn: 0,
             recent: Vec::new(),
@@ -150,22 +180,18 @@ impl DeltaOverlay {
     /// [`MutableGraph::insert_edge`](crate::MutableGraph::insert_edge).
     pub fn insert_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
         self.assert_in_range(src, dst);
-        if self.has_edge(src, dst) {
+        let Err(pos) = self.out_neighbors(src).binary_search(&dst) else {
             return false;
-        }
+        };
         let base = &self.base;
-        let outs = self
-            .outs
-            .entry(src)
-            .or_insert_with(|| base.out_neighbors(src).to_vec());
-        let pos = outs.binary_search(&dst).unwrap_err();
-        outs.insert(pos, dst);
-        let ins = self
-            .ins
-            .entry(dst)
-            .or_insert_with(|| base.in_neighbors(dst).to_vec());
-        let ipos = ins.binary_search(&src).unwrap_err();
-        ins.insert(ipos, src);
+        list_mut(&mut self.outs, src, || base.out_neighbors(src)).insert(pos, dst);
+        let ins = list_mut(&mut self.ins, dst, || base.in_neighbors(dst));
+        // The in-list mirrors the out-list, so `src` is absent.
+        let found = ins.binary_search(&src);
+        debug_assert!(found.is_err(), "in-list of {dst} already has {src}");
+        if let Err(ipos) = found {
+            ins.insert(ipos, src);
+        }
         self.m += 1;
         self.churn += 1;
         self.recent.push(src);
@@ -180,26 +206,18 @@ impl DeltaOverlay {
     /// [`MutableGraph::remove_edge`](crate::MutableGraph::remove_edge).
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
         self.assert_in_range(src, dst);
-        if !self.has_edge(src, dst) {
+        let Ok(pos) = self.out_neighbors(src).binary_search(&dst) else {
             return false;
-        }
+        };
         let base = &self.base;
-        let outs = self
-            .outs
-            .entry(src)
-            .or_insert_with(|| base.out_neighbors(src).to_vec());
-        // simcheck: allow(panic-in-library) — unreachable: the has_edge
-        // guard above proves `dst` is in the (sorted) out-list.
-        let pos = outs.binary_search(&dst).unwrap();
-        outs.remove(pos);
-        let ins = self
-            .ins
-            .entry(dst)
-            .or_insert_with(|| base.in_neighbors(dst).to_vec());
-        // simcheck: allow(panic-in-library) — unreachable: an edge in the
-        // out-list is in the mirror in-list (add/remove update both).
-        let ipos = ins.binary_search(&src).unwrap();
-        ins.remove(ipos);
+        list_mut(&mut self.outs, src, || base.out_neighbors(src)).remove(pos);
+        let ins = list_mut(&mut self.ins, dst, || base.in_neighbors(dst));
+        // The in-list mirrors the out-list, so `src` is present.
+        let found = ins.binary_search(&src);
+        debug_assert!(found.is_ok(), "in-list of {dst} lacks {src}");
+        if let Ok(ipos) = found {
+            ins.remove(ipos);
+        }
         self.m -= 1;
         self.churn += 1;
         self.recent.push(src);
@@ -209,16 +227,23 @@ impl DeltaOverlay {
 
     /// Compacts the overlay into a fresh standalone [`CsrGraph`] — the same
     /// graph a from-scratch rebuild of the current logical state would
-    /// produce (`O(n + m)`; pinned by the `prop_store` suite).
+    /// produce (pinned by the `prop_store` and `prop_disk` suites). One
+    /// sequential `O(n + m)` copy of every current list, base or
+    /// materialised, into the two CSR halves.
     pub fn rebuild(&self) -> CsrGraph {
-        let n = self.num_nodes();
-        let mut edges = Vec::with_capacity(self.m);
-        for v in 0..n as NodeId {
-            for &t in self.out_neighbors(v) {
-                edges.push((v, t));
-            }
-        }
-        CsrGraph::from_sorted_edges(n, &edges)
+        let base = &*self.base;
+        CsrGraph::from_sorted_lists(
+            self.m,
+            merged(&self.outs, |v| base.out_neighbors(v), self.num_nodes()),
+            merged(&self.ins, |v| base.in_neighbors(v), self.num_nodes()),
+        )
+    }
+
+    /// The shared list behind `v`'s out- (`out`) or in-neighbours, if the
+    /// overlay materialised one.
+    #[cfg(test)]
+    pub(crate) fn materialised(&self, v: NodeId, out: bool) -> Option<&Arc<Vec<NodeId>>> {
+        if out { &self.outs } else { &self.ins }.get(&v)
     }
 }
 
@@ -256,7 +281,7 @@ impl LogicalBytes for DeltaOverlay {
         self.outs
             .values()
             .chain(self.ins.values())
-            .map(|l| l.logical_bytes() + std::mem::size_of::<(NodeId, Vec<NodeId>)>())
+            .map(|l| l.logical_bytes() + std::mem::size_of::<(NodeId, Arc<Vec<NodeId>>)>())
             .sum()
     }
 }

@@ -157,13 +157,12 @@ impl<P: Partitioner> ShardedSnapshot<P> {
     /// Rebuilds the cut's logical graph as a standalone [`CsrGraph`] —
     /// what a query on this snapshot is bit-identical to querying.
     pub fn to_csr(&self) -> CsrGraph {
-        let mut edges = Vec::with_capacity(self.m);
-        for v in 0..self.n as NodeId {
-            for &t in self.out_neighbors(v) {
-                edges.push((v, t));
-            }
-        }
-        CsrGraph::from_sorted_edges(self.n, &edges)
+        let nodes = 0..self.n as NodeId;
+        CsrGraph::from_sorted_lists(
+            self.m,
+            nodes.clone().map(|v| self.out_neighbors(v)),
+            nodes.map(|v| self.in_neighbors(v)),
+        )
     }
 }
 

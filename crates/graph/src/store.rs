@@ -14,8 +14,9 @@
 //!   lock, no copying — and run whole queries against it while the writer
 //!   keeps mutating. A snapshot never changes underneath its holder.
 //! * Past a churn threshold the writer **compacts** the overlay back into a
-//!   fresh CSR base (`O(n + m)`), so read-path indirection and per-publish
-//!   clone cost stay bounded no matter how long the store lives.
+//!   fresh CSR base (one `O(n + m)` copy of the current lists), so
+//!   read-path indirection and per-publish clone cost stay bounded no
+//!   matter how long the store lives.
 //!
 //! Because [`DeltaOverlay`] presents the same sorted, deterministic
 //! [`GraphView`] as a CSR rebuild, a query answered on
@@ -336,9 +337,12 @@ impl GraphStore {
     /// Makes the working overlay the current epoch, compacting it into a
     /// fresh CSR base first if its churn reached the threshold.
     ///
-    /// Cost: `O(churned adjacency)` to clone the overlay for the snapshot
-    /// (plus `O(n + m)` on the publishes that compact). Readers are only
-    /// blocked for the pointer swap, never for the clone or the rebuild.
+    /// Cost: `O(touched nodes)` pointer copies to clone the overlay for the
+    /// snapshot — the lists themselves are shared copy-on-write, and the
+    /// updates before this publish paid one list copy per node they first
+    /// touched — plus one `O(n + m)` sequential copy on the publishes that
+    /// compact. Readers are only blocked for the pointer swap, never for
+    /// the clone or the rebuild.
     pub fn publish(&self) -> PublishInfo {
         let mut state = self.lock_writer();
         // Drain the per-publish delta *before* any compaction: a rebuild
@@ -371,8 +375,12 @@ impl GraphStore {
             epoch: state.epoch,
         });
         // Swap while still holding the writer lock so epochs publish in
-        // order; the write lock is held only for the pointer assignment.
-        *self.published.write().unwrap_or_else(|p| p.into_inner()) = snapshot;
+        // order; the write lock is held only for the pointer assignment,
+        // and the epoch it replaces is dropped after the lock is released.
+        let _replaced = std::mem::replace(
+            &mut *self.published.write().unwrap_or_else(|p| p.into_inner()),
+            snapshot,
+        );
         // relaxed: hint stored after the swap (still under the writer
         // lock, so hints advance in order); a reader seeing the new value
         // can race an older snapshot only in the benign stale-by-one
@@ -492,6 +500,43 @@ mod tests {
         let info = store.publish();
         assert!(info.compacted, "threshold 2 reached again");
         assert_eq!(info.touched, vec![2, 3, 36, 37]);
+    }
+
+    #[test]
+    fn publish_shares_every_list_the_batch_did_not_touch() {
+        let store = GraphStore::new(
+            GraphBuilder::new()
+                .with_num_nodes(8)
+                .with_edges([(0, 4), (1, 5)])
+                .build(),
+        );
+        store.commit(&[GraphUpdate::Insert(0, 5), GraphUpdate::Insert(2, 6)]);
+        let e1 = store.snapshot();
+        // Re-touches out(0); touches in(4), out(3) and in(7) first.
+        store.commit(&[GraphUpdate::Remove(0, 4), GraphUpdate::Insert(3, 7)]);
+        let e2 = store.snapshot();
+        let touched = |v: NodeId, out: bool| if out { [0, 3] } else { [4, 7] }.contains(&v);
+        for v in 0..8 {
+            for out in [true, false] {
+                match (
+                    e1.overlay.materialised(v, out),
+                    e2.overlay.materialised(v, out),
+                ) {
+                    (Some(a), Some(b)) => assert_eq!(
+                        Arc::ptr_eq(a, b),
+                        !touched(v, out),
+                        "node {v}, out {out}: shared iff untouched"
+                    ),
+                    (None, b) => assert_eq!(b.is_some(), touched(v, out), "node {v}, out {out}"),
+                    (Some(_), None) => panic!("node {v}, out {out}: a publish dropped a list"),
+                }
+            }
+        }
+        // The held epoch kept its own copies of the re-touched lists.
+        assert_eq!(e1.out_neighbors(0), &[4, 5]);
+        assert_eq!(e1.in_neighbors(4), &[0]);
+        assert_eq!(e2.out_neighbors(0), &[5]);
+        assert_eq!(e2.in_neighbors(4), &[] as &[NodeId]);
     }
 
     #[test]

@@ -105,7 +105,10 @@ proptest! {
     }
 
     // A disk-backed GraphStore must stay equivalent to a RAM-backed one
-    // through the same update/publish/compaction sequence.
+    // through the same update/publish/compaction sequence. Beside them, an
+    // overlay straight over the disk base, never compacted, must rebuild()
+    // to the MutableGraph replica: clean, at every publish, and with the
+    // lists of nodes 0 and n − 1 touched first.
     #[test]
     fn disk_backed_store_tracks_ram_backed_store(
         base in arb_graph(24, 80),
@@ -117,19 +120,31 @@ proptest! {
         let disk = DiskGraph::open_mem(&path, DiskGraphOptions::default()).unwrap();
         let disk_store = GraphStore::open_disk_with_threshold(disk, threshold);
         let ram_store = GraphStore::with_compaction_threshold(base.clone(), threshold);
+        let disk = DiskGraph::open_mem(&path, DiskGraphOptions::default()).unwrap();
+        let mut overlay = DeltaOverlay::new(std::sync::Arc::new(GraphBase::Disk(disk)));
+        let mut replica = MutableGraph::from_csr(&base);
+        prop_assert_eq!(&overlay.rebuild(), &base, "clean overlay over disk");
         let n = base.num_nodes();
-        for (kind, a, b) in ops {
+        // Toggle the edges between the first and the last node.
+        let toggle = |s: usize, t: usize| {
+            let present = base.has_edge(s as NodeId, t as NodeId);
+            (if present { 2 } else { 0 }, s, t)
+        };
+        let ends = [toggle(0, n - 1), toggle(n - 1, 0)];
+        for (kind, a, b) in ends.into_iter().chain(ops) {
             let (s, t) = ((a % n) as NodeId, (b % n) as NodeId);
             match kind {
                 0 | 1 => {
                     let x = disk_store.insert_edge(s, t);
                     let y = ram_store.insert_edge(s, t);
                     prop_assert_eq!(x, y, "insert ({}, {}) diverged", s, t);
+                    prop_assert_eq!(overlay.insert_edge(s, t), replica.insert_edge(s, t));
                 }
                 2 => {
                     let x = disk_store.remove_edge(s, t);
                     let y = ram_store.remove_edge(s, t);
                     prop_assert_eq!(x, y, "remove ({}, {}) diverged", s, t);
+                    prop_assert_eq!(overlay.remove_edge(s, t), replica.remove_edge(s, t));
                 }
                 _ => {
                     let x = disk_store.publish();
@@ -137,6 +152,7 @@ proptest! {
                     prop_assert_eq!(x.epoch, y.epoch);
                     prop_assert_eq!(x.compacted, y.compacted);
                     prop_assert_eq!(x.touched, y.touched);
+                    prop_assert_eq!(&overlay.rebuild(), &replica.snapshot());
                 }
             }
         }
@@ -148,6 +164,11 @@ proptest! {
         let dc = d.to_csr();
         prop_assert_eq!(&dc, &r.to_csr());
         prop_assert!(dc.validate().is_ok());
+        let want = replica.snapshot();
+        prop_assert_eq!(&dc, &want);
+        let rebuilt = overlay.rebuild();
+        prop_assert!(rebuilt.validate().is_ok());
+        prop_assert_eq!(&rebuilt, &want);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -104,6 +104,56 @@ proptest! {
         prop_assert_eq!(before.epoch(), 0);
         prop_assert_eq!(store.snapshot().epoch(), 1);
     }
+
+    // Copy-on-write: the snapshot of every epoch is held next to a replica
+    // of the graph it published, while later batches keep re-touching the
+    // same lists — the in-list of hub node 0, toggled edge by edge, and
+    // insert-then-remove pairs that return a list to its base — across
+    // publishes and compactions. No held snapshot may ever change.
+    #[test]
+    fn held_snapshots_never_change_under_later_publishes(
+        base in arb_graph(20, 60),
+        ops in proptest::collection::vec((0u8..3, 0usize..10_000), 1..60),
+        threshold in 1usize..16,
+    ) {
+        let n = base.num_nodes();
+        let store = GraphStore::with_compaction_threshold(base.clone(), threshold);
+        let mut replica = MutableGraph::from_csr(&base);
+        let mut held = vec![(store.snapshot(), base.clone())];
+        for (kind, a) in ops {
+            let (s, t) = ((a % n) as NodeId, (a / n % n) as NodeId);
+            let updates = match kind {
+                0 if replica.has_edge(s, 0) => vec![GraphUpdate::Remove(s, 0)],
+                0 => vec![GraphUpdate::Insert(s, 0)],
+                1 if replica.has_edge(s, t) => {
+                    vec![GraphUpdate::Remove(s, t), GraphUpdate::Insert(s, t)]
+                }
+                1 => vec![GraphUpdate::Insert(s, t), GraphUpdate::Remove(s, t)],
+                _ => {
+                    store.publish();
+                    held.push((store.snapshot(), replica.snapshot()));
+                    for (snap, want) in &held {
+                        let e = snap.epoch();
+                        prop_assert_eq!(snap.num_edges(), want.num_edges(), "epoch {}", e);
+                        for v in 0..n as NodeId {
+                            let (got, exp) = (snap.out_neighbors(v), want.out_neighbors(v));
+                            prop_assert_eq!(got, exp, "epoch {} out({})", e, v);
+                            let (got, exp) = (snap.in_neighbors(v), want.in_neighbors(v));
+                            prop_assert_eq!(got, exp, "epoch {} in({})", e, v);
+                        }
+                    }
+                    continue;
+                }
+            };
+            for u in updates {
+                let effective = match u {
+                    GraphUpdate::Insert(s, t) => replica.insert_edge(s, t),
+                    GraphUpdate::Remove(s, t) => replica.remove_edge(s, t),
+                };
+                prop_assert_eq!(store.apply(&[u]), usize::from(effective));
+            }
+        }
+    }
 }
 
 /// The acceptance-criteria test: ≥ 4 reader threads and 1 writer race on
