@@ -761,26 +761,13 @@ impl Frontend {
         submit_timeout: Duration,
     ) -> Vec<Result<QueryOutcome, SubmitError>> {
         assert!(clients >= 1, "need at least one closed-loop client");
-        let mut slots: Vec<Option<Result<QueryOutcome, SubmitError>>> = Vec::new();
-        slots.resize_with(keys.len(), || None);
+        // Each client fills its own outcome list, in the order of its keys.
+        let mut per_client: Vec<Vec<_>> = (0..clients).map(|_| Vec::new()).collect();
         std::thread::scope(|scope| {
-            let mut rest = slots.as_mut_slice();
-            let mut offset = 0usize;
-            // Hand each client a strided view by repeatedly splitting off
-            // the smallest remaining index — disjoint &mut slots without
-            // any locking.
-            let mut client_slots: Vec<Vec<(usize, &mut Option<_>)>> =
-                (0..clients).map(|_| Vec::new()).collect();
-            while !rest.is_empty() {
-                let (head, tail) = rest.split_at_mut(1);
-                client_slots[offset % clients].push((offset, &mut head[0]));
-                rest = tail;
-                offset += 1;
-            }
-            for mine in client_slots {
+            for (c, outcomes) in per_client.iter_mut().enumerate() {
                 scope.spawn(move || {
-                    for (i, slot) in mine {
-                        *slot = Some(match self.submit_timeout(keys[i], submit_timeout) {
+                    for &key in keys.iter().skip(c).step_by(clients) {
+                        outcomes.push(match self.submit_timeout(key, submit_timeout) {
                             Ok(ticket) => Ok(ticket.wait()),
                             Err(e) => Err(e),
                         });
@@ -788,10 +775,13 @@ impl Frontend {
                 });
             }
         });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every key was assigned to a client"))
-            .collect()
+        // Key `i` is outcome `i / clients` of client `i % clients`.
+        let mut per_client: Vec<_> = per_client.into_iter().map(Vec::into_iter).collect();
+        let outcomes: Vec<_> = (0..keys.len())
+            .filter_map(|i| per_client[i % clients].next())
+            .collect();
+        debug_assert_eq!(outcomes.len(), keys.len());
+        outcomes
     }
 
     /// A snapshot of the admission/service counters.

@@ -3,8 +3,8 @@
 //! Every dataset is deterministic (fixed seed), scaled from the paper's
 //! graphs by roughly 100–1000× (each [`DatasetSpec`] names the graph it
 //! substitutes for and `docs/REPRODUCING.md` says what the substitution
-//! preserves), and cached under a data directory in the compact binary
-//! format so figure runs pay generation cost once.
+//! preserves), and cached under a data directory as a checksummed `SRGD`
+//! file so figure runs pay generation cost once.
 //!
 //! Scaling: set `SIMRANK_SCALE` (default 1.0) to shrink/grow every dataset
 //! uniformly — e.g. `SIMRANK_SCALE=0.1` for a quick smoke run of all
@@ -12,7 +12,8 @@
 
 use simrank_common::NodeId;
 use simrank_graph::gen::{self, RmatParams};
-use simrank_graph::{io as gio, CsrGraph, GraphView};
+use simrank_graph::storage::{write_disk_graph, DEFAULT_PAGE_SIZE};
+use simrank_graph::{CsrGraph, DiskGraph, DiskGraphOptions, GraphView};
 use std::path::{Path, PathBuf};
 
 /// How a dataset is generated.
@@ -86,13 +87,19 @@ impl DatasetSpec {
     }
 
     /// Loads the graph from `dir`, generating and caching it on first use.
+    ///
+    /// The cache is `<name>.srgd`. It is served only if it opens (every
+    /// segment checksum and bound holds) and its copy into RAM validates;
+    /// any other file is regenerated and rewritten.
     pub fn load_or_generate(&self, dir: &Path) -> CsrGraph {
-        let path = dir.join(format!("{}.bin", self.name));
-        if let Ok(g) = gio::load_binary(&path) {
+        let path = dir.join(format!("{}.srgd", self.name));
+        let cached = DiskGraph::open_fs(&path, DiskGraphOptions::fully_pinned())
+            .and_then(|disk| disk.to_csr());
+        if let Ok(g) = cached {
             return g;
         }
         let g = self.generate();
-        if let Err(e) = gio::save_binary(&g, &path) {
+        if let Err(e) = write_disk_graph(&g, &path, DEFAULT_PAGE_SIZE) {
             eprintln!("warning: could not cache dataset {}: {e}", self.name);
         }
         g
@@ -304,9 +311,26 @@ mod tests {
     fn cache_round_trip() {
         let dir = std::env::temp_dir().join(format!("simrank-ds-test-{}", std::process::id()));
         let spec = &registry_scaled(0.02)[0];
-        let a = spec.load_or_generate(&dir);
-        let b = spec.load_or_generate(&dir); // second call hits cache
-        assert_eq!(a, b);
+        let want = spec.generate();
+        let path = dir.join(format!("{}.srgd", spec.name));
+        assert_eq!(spec.load_or_generate(&dir), want);
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(spec.load_or_generate(&dir), want, "second call hits cache");
+
+        // A flipped element byte fails its segment checksum, and a cut file
+        // its geometry: either is regenerated and rewritten, never served.
+        let mut flipped = written.clone();
+        let out_targets = u64::from_le_bytes(written[56..64].try_into().unwrap()) as usize;
+        flipped[out_targets] ^= 0x01;
+        let truncated = written[..written.len() / 2].to_vec();
+        for (bad, what) in [(flipped, "flipped byte"), (truncated, "truncated")] {
+            std::fs::write(&path, &bad).unwrap();
+            assert_eq!(spec.load_or_generate(&dir), want, "{what}");
+            assert!(
+                std::fs::read(&path).unwrap() == written,
+                "{what}: rewritten"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -98,16 +98,37 @@ impl CsrGraph {
         ins: impl ExactSizeIterator<Item = &'g [NodeId]>,
     ) -> Self {
         let n = outs.len();
+        let csr = Self::from_lists(m, outs, ins);
+        debug_assert!(csr.num_nodes() == n && csr.num_edges() == m && csr.validate().is_ok());
+        csr
+    }
+
+    /// [`from_sorted_lists`](Self::from_sorted_lists) for lists read from
+    /// outside input: every build checks them, and a broken invariant is
+    /// the error, never a graph.
+    pub(crate) fn from_lists_checked<'g>(
+        m: usize,
+        outs: impl ExactSizeIterator<Item = &'g [NodeId]>,
+        ins: impl ExactSizeIterator<Item = &'g [NodeId]>,
+    ) -> Result<Self, String> {
+        let csr = Self::from_lists(m, outs, ins);
+        csr.validate()?;
+        Ok(csr)
+    }
+
+    fn from_lists<'g>(
+        m: usize,
+        outs: impl ExactSizeIterator<Item = &'g [NodeId]>,
+        ins: impl ExactSizeIterator<Item = &'g [NodeId]>,
+    ) -> Self {
         let (out_offsets, out_targets) = concat(m, outs);
         let (in_offsets, in_sources) = concat(m, ins);
-        let csr = Self {
+        Self {
             out_offsets,
             out_targets,
             in_offsets,
             in_sources,
-        };
-        debug_assert!(csr.num_nodes() == n && csr.num_edges() == m && csr.validate().is_ok());
-        csr
+        }
     }
 
     /// Builds the graph with `n` nodes and no edges.

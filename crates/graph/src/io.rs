@@ -1,36 +1,17 @@
-//! Graph IO: SNAP-style edge-list text and a compact binary snapshot format.
+//! Graph IO: SNAP-style edge-list text, and [`IoError`], the error type of
+//! every graph reader and writer.
 //!
-//! The binary format is what the dataset registry caches to disk so that
-//! multi-minute benchmark sessions don't regenerate graphs. Layout (all
-//! little-endian):
-//!
-//! ```text
-//! magic   b"SRG1"           4 bytes
-//! n       u64
-//! m       u64
-//! offsets (n+1) × u64       CSR out-offsets
-//! targets m × u32           CSR out-targets
-//! ```
-//!
-//! The in-adjacency is rebuilt on load (O(m), cheaper than doubling the
-//! file).
-//!
-//! `SRG1` is a *load-then-query* format: the whole graph is deserialised
-//! into RAM. For graphs bigger than memory, [`crate::storage`] defines
-//! the page-aligned `SRGD` layout queryable in place through a
-//! [`DiskGraph`](crate::storage::DiskGraph);
-//! [`convert_binary`](crate::storage::convert_binary) migrates an `SRG1`
-//! snapshot to it.
+//! The one binary graph format is `SRGD` (see [`crate::storage`]):
+//! checksummed, page-aligned and queryable in place through a
+//! [`DiskGraph`](crate::storage::DiskGraph), which
+//! [`to_csr`](crate::storage::DiskGraph::to_csr) copies into RAM.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::view::GraphView;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simrank_common::NodeId;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
-
-const MAGIC: &[u8; 4] = b"SRG1";
 
 /// Error type for graph IO.
 #[derive(Debug)]
@@ -110,96 +91,6 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError>
     Ok(())
 }
 
-/// Serialises the graph into the compact binary snapshot format.
-pub fn to_binary(g: &CsrGraph) -> Bytes {
-    let (offsets, targets) = g.raw_out();
-    let mut buf = BytesMut::with_capacity(4 + 16 + offsets.len() * 8 + targets.len() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(g.num_nodes() as u64);
-    buf.put_u64_le(g.num_edges() as u64);
-    for &o in offsets {
-        buf.put_u64_le(o as u64);
-    }
-    for &t in targets {
-        buf.put_u32_le(t);
-    }
-    buf.freeze()
-}
-
-/// Deserialises a graph from the binary snapshot format, validating the
-/// structural invariants.
-pub fn from_binary(mut data: Bytes) -> Result<CsrGraph, IoError> {
-    if data.remaining() < 20 {
-        return Err(IoError::Format("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(IoError::Format(format!("bad magic {magic:?}")));
-    }
-    let n64 = data.get_u64_le();
-    let m64 = data.get_u64_le();
-    // The header fields are untrusted: a corrupt/malicious `n` or `m` must
-    // fail cleanly here, before any allocation. `u128` arithmetic rules out
-    // the wrap that `(n + 1) * 8 + m * 4` in `usize` allows (a wrapped
-    // `need` can collide with the actual payload size and defeat the size
-    // check), and the equality against `remaining()` bounds both fields by
-    // the bytes actually present, so `Vec::with_capacity` below can never
-    // exceed the input size.
-    const MAX_NODES: u64 = u32::MAX as u64 + 1; // node ids are u32
-    if n64 > MAX_NODES {
-        return Err(IoError::Format(format!(
-            "node count {n64} exceeds the u32 id space"
-        )));
-    }
-    let need = (n64 as u128 + 1) * 8 + m64 as u128 * 4;
-    if need != data.remaining() as u128 {
-        return Err(IoError::Format(format!(
-            "payload size {} does not match n={n64}, m={m64}",
-            data.remaining()
-        )));
-    }
-    let n = n64 as usize;
-    let m = m64 as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(data.get_u64_le() as usize);
-    }
-    if offsets[0] != 0 || offsets[n] != m || offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(IoError::Format("corrupt offsets".into()));
-    }
-    let mut edges = Vec::with_capacity(m);
-    for s in 0..n {
-        for _ in offsets[s]..offsets[s + 1] {
-            let t = data.get_u32_le();
-            if t as usize >= n {
-                return Err(IoError::Format(format!("target {t} out of range")));
-            }
-            edges.push((s as NodeId, t));
-        }
-    }
-    // The writer emits sorted lists; verify rather than trust.
-    if edges.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(IoError::Format("edge list not sorted/unique".into()));
-    }
-    Ok(CsrGraph::from_sorted_edges(n, &edges))
-}
-
-/// Writes the binary snapshot to a file.
-pub fn save_binary<P: AsRef<Path>>(g: &CsrGraph, path: P) -> Result<(), IoError> {
-    if let Some(parent) = path.as_ref().parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, to_binary(g))?;
-    Ok(())
-}
-
-/// Loads a binary snapshot from a file.
-pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph, IoError> {
-    let data = std::fs::read(path)?;
-    from_binary(Bytes::from(data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,137 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() -> Result<(), IoError> {
-        let g = crate::gen::gnm(200, 1000, 5);
-        let bytes = to_binary(&g);
-        let back = from_binary(bytes)?;
-        assert_eq!(back, g);
-        assert!(back.validate().is_ok());
-        Ok(())
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let g = shapes::cycle(4);
-        let bytes = to_binary(&g);
-
-        let mut bad_magic = bytes.to_vec();
-        bad_magic[0] = b'X';
-        assert!(from_binary(Bytes::from(bad_magic)).is_err());
-
-        let truncated = bytes.slice(0..bytes.len() - 2);
-        assert!(from_binary(truncated).is_err());
-
-        let mut bad_target = bytes.to_vec();
-        let len = bad_target.len();
-        bad_target[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(from_binary(Bytes::from(bad_target)).is_err());
-    }
-
-    /// Builds a 20-byte header (magic + n + m) followed by `payload` bytes
-    /// of zeros — the attacker-controlled shapes the hardened decoder must
-    /// reject without panicking, wrapping, or allocating proportionally to
-    /// the claimed counts.
-    fn crafted(n: u64, m: u64, payload: usize) -> Bytes {
-        let mut buf = BytesMut::with_capacity(20 + payload);
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(n);
-        buf.put_u64_le(m);
-        buf.put_slice(&vec![0u8; payload]);
-        buf.freeze()
-    }
-
-    #[test]
-    fn corrupt_header_huge_n_is_a_format_error() {
-        // Claims ~2^64 nodes with an empty payload: `(n + 1) * 8` would
-        // overflow in usize (panic in debug, wrap in release) and
-        // `Vec::with_capacity(n + 1)` would OOM if it got that far.
-        for n in [u64::MAX, u64::MAX / 8, u32::MAX as u64 + 2] {
-            let err = from_binary(crafted(n, 0, 0)).unwrap_err();
-            assert!(matches!(err, IoError::Format(_)), "n={n}: {err}");
-        }
-    }
-
-    #[test]
-    fn corrupt_header_huge_m_is_a_format_error() {
-        for m in [u64::MAX, u64::MAX / 4, 1 << 40] {
-            let err = from_binary(crafted(4, m, 48)).unwrap_err();
-            assert!(matches!(err, IoError::Format(_)), "m={m}: {err}");
-        }
-    }
-
-    #[test]
-    fn corrupt_header_wrapping_values_are_format_errors() {
-        // Values crafted so the old usize arithmetic wraps to a small
-        // `need` that *matches* the payload on 64-bit targets, defeating
-        // the size check entirely:
-        //   n = 2^61 - 1 → (n + 1) * 8 ≡ 0 (mod 2^64), so with m = 0 the
-        //   wrapped need equals an empty payload;
-        //   m = 2^62 → m * 4 ≡ 0, wrapping the target bytes away.
-        let wrap_n = (1u64 << 61) - 1;
-        let err = from_binary(crafted(wrap_n, 0, 0)).unwrap_err();
-        assert!(matches!(err, IoError::Format(_)), "{err}");
-
-        let wrap_m = 1u64 << 62;
-        let err = from_binary(crafted(2, wrap_m, 24)).unwrap_err();
-        assert!(matches!(err, IoError::Format(_)), "{err}");
-
-        // And a combination that wraps both terms back to the real size of
-        // a tiny well-formed-looking payload.
-        let err = from_binary(crafted(wrap_n, wrap_m, 0)).unwrap_err();
-        assert!(matches!(err, IoError::Format(_)), "{err}");
-    }
-
-    #[test]
-    fn payload_size_mismatch_is_a_format_error() {
-        // Consistent-looking small header over the wrong number of bytes.
-        for payload in [0, 15, 17, 100] {
-            let err = from_binary(crafted(1, 0, payload)).unwrap_err();
-            assert!(
-                matches!(err, IoError::Format(_)),
-                "payload={payload}: {err}"
-            );
-        }
-        // The exact right size parses (n=1, m=0 → one offset pair, no
-        // targets; all-zero offsets are valid for an empty graph).
-        match from_binary(crafted(1, 0, 16)) {
-            Ok(g) => assert_eq!(g, CsrGraph::empty(1)),
-            Err(e) => panic!("exact-size payload must parse: {e}"),
-        }
-    }
-
-    #[test]
-    fn file_round_trip() -> Result<(), IoError> {
-        let dir = std::env::temp_dir().join("simrank-io-test");
-        let path = dir.join("g.bin");
-        let g = shapes::grid(3, 3);
-        save_binary(&g, &path)?;
-        let back = load_binary(&path)?;
-        assert_eq!(back, g);
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn empty_graph_round_trips() -> Result<(), IoError> {
-        let g = CsrGraph::empty(5);
-        assert_eq!(from_binary(to_binary(&g))?, g);
-        Ok(())
-    }
-
-    #[test]
-    fn load_binary_missing_file_is_an_io_error() {
-        let path = std::env::temp_dir().join("simrank-io-test-does-not-exist.bin");
-        let err = load_binary(&path).unwrap_err();
-        assert!(matches!(err, IoError::Io(_)), "{err}");
-        assert!(err.to_string().starts_with("io error:"), "{err}");
-    }
-
-    #[test]
     fn read_edge_list_missing_file_is_an_io_error() {
         let path = std::env::temp_dir().join("simrank-io-test-no-such.txt");
         let err = read_edge_list_file(&path).unwrap_err();
         assert!(matches!(err, IoError::Io(_)), "{err}");
+        assert!(err.to_string().starts_with("io error:"), "{err}");
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! * [`gen`] — deterministic synthetic generators standing in for the
 //!   paper's nine datasets (see `docs/REPRODUCING.md`).
 //! * [`io`] — whitespace edge-list text format (SNAP-style, `#` comments)
-//!   and a compact binary snapshot format for dataset caching.
-//! * [`storage`] — the out-of-core tier: the `SRGD` on-disk CSR layout with
+//!   and [`io::IoError`].
+//! * [`storage`] — the out-of-core tier: the `SRGD` on-disk CSR layout (the
+//!   one binary graph format, which also caches the datasets) with
 //!   a checksummed superblock, pluggable storage [`Adaptor`]s (heap,
 //!   buffered file, mmap), one-rule segment pinning under a byte budget, and
 //!   [`DiskGraph`], which serves [`GraphView`] queries straight off the file

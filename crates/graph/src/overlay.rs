@@ -26,15 +26,13 @@
 use crate::base::GraphBase;
 use crate::csr::CsrGraph;
 use crate::view::GraphView;
-use simrank_common::mem::LogicalBytes;
 use simrank_common::{FxHashMap, NodeId};
 use std::sync::Arc;
 
 /// Materialised *current* neighbour lists of touched nodes, each sorted and
 /// shared with every published snapshot that has not seen it change since.
 // simcheck: allow(nondet-iteration) — reads are keyed; the only
-// iterations are touched_iter (consumers count or sort), `merged`
-// (sorts by node first) and the order-free logical_bytes sum.
+// iteration is `merged`, which sorts by node first.
 type Lists = FxHashMap<NodeId, Arc<Vec<NodeId>>>;
 
 /// A copy-on-write edge delta layered over an immutable base.
@@ -62,8 +60,7 @@ pub struct DeltaOverlay {
     /// Endpoints of effective updates since the last
     /// [`take_recent`](Self::take_recent) — unsorted, possibly repeated.
     /// This is the *per-publish delta* feed for answer-cache invalidation,
-    /// distinct from the cumulative materialised-list keys that
-    /// [`touched_iter`](Self::touched_iter) walks.
+    /// distinct from the cumulative keys of `outs` and `ins`.
     recent: Vec<NodeId>,
 }
 
@@ -124,31 +121,12 @@ impl DeltaOverlay {
         self.churn == 0
     }
 
-    /// Borrowing iterator over the distinct nodes with a materialised (out
-    /// or in) delta list, without cloning any list. Order is unspecified
-    /// (hash-map iteration), so callers needing determinism must collect
-    /// and sort; counting and membership-style scans are deterministic as
-    /// is.
-    pub fn touched_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.outs.keys().copied().chain(
-            self.ins
-                .keys()
-                .filter(|v| !self.outs.contains_key(v))
-                .copied(),
-        )
-    }
-
-    /// Number of distinct nodes with a materialised (out or in) delta list.
-    pub fn touched_nodes(&self) -> usize {
-        self.touched_iter().count()
-    }
-
     /// Drains the endpoints touched by effective updates since the last
     /// call (or construction), sorted and deduplicated — the per-publish
     /// delta [`GraphStore::publish`](crate::GraphStore::publish) exposes in
-    /// [`PublishInfo::touched`](crate::PublishInfo). Unlike
-    /// [`touched_iter`](Self::touched_iter), which reflects *cumulative*
-    /// churn since the base was frozen, this resets on every call, so two
+    /// [`PublishInfo::touched`](crate::PublishInfo). Unlike the materialised
+    /// lists, which reflect *cumulative* churn since the base was frozen,
+    /// this resets on every call, so two
     /// consecutive publishes report disjoint responsibility for the same
     /// overlay — and a compaction publish that applied no new updates
     /// reports an empty delta.
@@ -275,17 +253,6 @@ impl GraphView for DeltaOverlay {
     }
 }
 
-impl LogicalBytes for DeltaOverlay {
-    fn logical_bytes(&self) -> usize {
-        // The base is shared; an overlay's own footprint is its delta lists.
-        self.outs
-            .values()
-            .chain(self.ins.values())
-            .map(|l| l.logical_bytes() + std::mem::size_of::<(NodeId, Arc<Vec<NodeId>>)>())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,31 +303,9 @@ mod tests {
         assert!(!o.insert_edge(0, 1), "edge already in base");
         assert!(!o.remove_edge(3, 0), "edge not present");
         assert!(o.is_clean());
-        assert_eq!(o.touched_nodes(), 0);
-    }
-
-    #[test]
-    fn touched_nodes_counts_distinct_endpoints() {
-        let mut o = DeltaOverlay::new(base());
-        o.insert_edge(3, 0); // touches outs[3] and ins[0]: two nodes
-        assert_eq!(o.touched_nodes(), 2);
-        o.insert_edge(3, 2); // outs[3] again, ins[2]: one new node
-        assert_eq!(o.touched_nodes(), 3);
-        o.remove_edge(0, 2); // outs[0]; but 0 and 2 are both already touched
-        assert_eq!(o.touched_nodes(), 3);
-        o.remove_edge(1, 3); // outs[1] new; ins[3] dedups against outs[3]
-        assert_eq!(o.touched_nodes(), 4);
-    }
-
-    #[test]
-    fn touched_iter_yields_each_touched_node_once() {
-        let mut o = DeltaOverlay::new(base());
-        o.insert_edge(3, 0); // outs[3], ins[0]
-        o.remove_edge(1, 3); // outs[1], ins[3] — 3 must not repeat
-        let mut touched: Vec<NodeId> = o.touched_iter().collect();
-        touched.sort_unstable();
-        assert_eq!(touched, vec![0, 1, 3]);
-        assert_eq!(o.touched_nodes(), 3);
+        for v in 0..4 {
+            assert!(o.materialised(v, true).is_none() && o.materialised(v, false).is_none());
+        }
     }
 
     #[test]
@@ -376,7 +321,8 @@ mod tests {
             "second take reports nothing: responsibility was drained"
         );
         // Cumulative touched lists are unaffected by the drain.
-        assert_eq!(o.touched_nodes(), 3);
+        assert!(o.materialised(3, true).is_some());
+        assert!(o.materialised(0, false).is_some() && o.materialised(2, false).is_some());
         o.remove_edge(0, 1);
         assert_eq!(o.take_recent(), vec![0, 1]);
     }
@@ -423,14 +369,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_remove() {
         DeltaOverlay::new(base()).remove_edge(99, 0);
-    }
-
-    #[test]
-    fn logical_bytes_tracks_churn_not_graph() {
-        let mut o = DeltaOverlay::new(Arc::new(crate::gen::gnm(500, 3000, 3).into()));
-        let clean = o.logical_bytes();
-        assert_eq!(clean, 0, "clean overlay owns nothing");
-        o.insert_edge(0, 499);
-        assert!(o.logical_bytes() > 0);
     }
 }

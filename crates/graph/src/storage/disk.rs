@@ -20,15 +20,19 @@
 //!   in_sources   m × u32
 //! ```
 //!
-//! [`DiskGraph::open`] validates the superblock and **always** streams both
-//! offset segments once (checking `offsets[0] == 0`, monotonicity,
-//! `offsets[n] == m`, and the segment checksum) — that pass is also where
-//! neighbour lists spanning a page boundary are discovered and materialised
-//! into a spill table, which is what lets [`GraphView::out_neighbors`]
-//! return a single contiguous `&[NodeId]` from a paged segment. Element
-//! segments are checksummed and bounds-checked at open when
-//! [`DiskGraphOptions::verify`] is set (the default); with verification off
-//! they are still bounds-checked page-by-page at fault time.
+//! [`DiskGraph::open`] validates the superblock and **always** streams all
+//! four segments once: every segment checksum, `offsets[0] == 0`,
+//! monotonicity and `offsets[n] == m` for the offset segments, and every id
+//! `< n` for the element segments. The offset pass is also where neighbour
+//! lists spanning a page boundary are discovered and materialised into a
+//! spill table, which is what lets [`GraphView::out_neighbors`] return a
+//! single contiguous `&[NodeId]` from a paged segment.
+//!
+//! Every segment is served from one kind of page table. A pinned segment is
+//! a table with one page spanning the segment, filled at open; an unpinned
+//! one faults its pages in on first touch and bounds-checks them again
+//! then, because a file behind an `fs` or `mmap` adaptor can change after
+//! open.
 //!
 //! [`GraphView::out_neighbors`]: crate::view::GraphView::out_neighbors
 
@@ -298,20 +302,105 @@ pub fn write_disk_graph<P: AsRef<Path>>(
     Ok(())
 }
 
-/// Converts an existing `SRG1` binary snapshot (see [`crate::io`]) into the
-/// storage-tiered `SRGD` layout — the migration seam for cached datasets.
-pub fn convert_binary<P: AsRef<Path>, Q: AsRef<Path>>(
-    src: P,
-    dst: Q,
-    page_size: u32,
-) -> Result<(), IoError> {
-    let g = crate::io::load_binary(src)?;
-    write_disk_graph(&g, dst, page_size)
+// ---------------------------------------------------------------------------
+// Words and open-time validation scans
+// ---------------------------------------------------------------------------
+
+/// A little-endian word of a segment: a `u64` offset or a `u32` node id.
+trait Word: Copy + Default + Ord + Into<u64> + Send + Sync + std::fmt::Debug + 'static {
+    /// Encoded width in bytes.
+    const BYTES: usize;
+    /// What a word is, for error messages.
+    const WHAT: &'static str;
+    /// Decodes one word from exactly [`BYTES`](Self::BYTES) bytes.
+    fn from_le(bytes: &[u8]) -> Self;
 }
 
-// ---------------------------------------------------------------------------
-// Open-time validation scans
-// ---------------------------------------------------------------------------
+impl Word for u64 {
+    const BYTES: usize = 8;
+    const WHAT: &'static str = "offset";
+    fn from_le(bytes: &[u8]) -> Self {
+        get_u64(bytes, 0)
+    }
+}
+
+impl Word for NodeId {
+    const BYTES: usize = 4;
+    const WHAT: &'static str = "node id";
+    fn from_le(bytes: &[u8]) -> Self {
+        get_u32(bytes, 0)
+    }
+}
+
+/// The words of `bytes`, one per `W::BYTES`-byte chunk.
+fn words<W: Word>(bytes: &[u8]) -> impl Iterator<Item = W> + '_ {
+    bytes.chunks_exact(W::BYTES).map(W::from_le)
+}
+
+/// Rejects any word `>= bound` in `bytes`. One max-fold bounds-checks the
+/// whole chunk; only a failing chunk is rescanned, to name its first
+/// out-of-range word.
+fn check_words<W: Word>(bytes: &[u8], bound: u64, name: &str) -> Result<(), IoError> {
+    let max: u64 = words::<W>(bytes).fold(W::default(), W::max).into();
+    if bytes.len() >= W::BYTES && max >= bound {
+        let bad = words::<W>(bytes)
+            .map(Into::into)
+            .find(|&w| w >= bound)
+            .unwrap_or(max);
+        return Err(IoError::Format(format!(
+            "{name}: {} {bad} out of range (must be < {bound})",
+            W::WHAT
+        )));
+    }
+    Ok(())
+}
+
+/// Decodes the words of `bytes` onto `into` once [`check_words`] has
+/// passed them; on error `into` is left as it was.
+fn decode_checked<W: Word>(
+    bytes: &[u8],
+    bound: u64,
+    name: &str,
+    into: &mut Vec<W>,
+) -> Result<(), IoError> {
+    check_words::<W>(bytes, bound, name)?;
+    into.extend(words::<W>(bytes));
+    Ok(())
+}
+
+/// Streams segment `seg` through `visit` a [`SCAN_CHUNK`] at a time (so no
+/// word is split), checksumming every byte. A `visit` error is reported
+/// only after the checksum verdict: corrupt bytes should be diagnosed as
+/// corruption, not as whatever structural nonsense they happen to spell.
+fn scan(
+    adaptor: &dyn Adaptor,
+    seg: &SegmentDesc,
+    name: &str,
+    mut visit: impl FnMut(&[u8]) -> Result<(), IoError>,
+) -> Result<(), IoError> {
+    let mut sum = Xxh64::new();
+    let mut failure = None;
+    let mut read = 0u64;
+    let mut buf = vec![0u8; SCAN_CHUNK.min(seg.len as usize)];
+    while read < seg.len {
+        let take = (seg.len - read).min(SCAN_CHUNK as u64) as usize;
+        let chunk = &mut buf[..take];
+        adaptor.read_at(seg.offset + read, chunk)?;
+        sum.update(chunk);
+        if failure.is_none() {
+            failure = visit(chunk).err();
+        }
+        read += take as u64;
+    }
+    let checksum = sum.finish();
+    if checksum != seg.checksum {
+        return Err(IoError::Format(format!(
+            "{name} checksum mismatch: stored {:#018x}, computed {checksum:#018x}",
+            seg.checksum
+        )));
+    }
+    failure.map_or(Ok(()), Err)
+}
 
 struct OffsetScan {
     /// Element-index ranges `(lo, hi)` of neighbour lists whose bytes cross
@@ -321,83 +410,46 @@ struct OffsetScan {
     values: Option<Vec<u64>>,
 }
 
-/// Streams one offset segment: checksum, structural validation
+/// Scans offset segment `id`: checksum, structural validation
 /// (`first == 0`, monotone, `last == m`), page-boundary span discovery for
-/// the element segment it indexes, and optional pinning.
+/// the element segment it indexes, and the decoded values if pinned.
 fn scan_offsets(
     adaptor: &dyn Adaptor,
-    seg: &SegmentDesc,
-    name: &str,
-    m: u64,
-    ps: u64,
+    sb: &Superblock,
+    id: SegmentId,
     pin: bool,
 ) -> Result<OffsetScan, IoError> {
-    let mut sum = Xxh64::new();
-    let mut values = if pin {
-        Some(Vec::with_capacity((seg.len / 8) as usize))
-    } else {
-        None
-    };
+    let (name, seg, m, ps) = (id.name(), &sb.segs[id as usize], sb.m, sb.page_size);
+    let mut values = pin.then(|| Vec::with_capacity((seg.len / 8) as usize));
     let mut spans = Vec::new();
-    // Structural problems are recorded but reported only after the
-    // checksum verdict: corrupt bytes should be diagnosed as corruption,
-    // not as whatever structural nonsense the corruption happens to spell.
-    let mut structural: Option<String> = None;
     let mut prev: Option<u64> = None;
     let mut index = 0u64;
-    let mut read = 0u64;
-    let mut buf = vec![0u8; SCAN_CHUNK.min(seg.len as usize)];
-    while read < seg.len {
-        let take = (seg.len - read).min(SCAN_CHUNK as u64) as usize;
-        let chunk = &mut buf[..take];
-        adaptor.read_at(seg.offset + read, chunk)?;
-        sum.update(chunk);
-        for word in chunk.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(word);
-            let v = u64::from_le_bytes(a);
-            if structural.is_none() {
-                match prev {
-                    None => {
-                        if v != 0 {
-                            structural = Some(format!("{name}: first offset is {v}, expected 0"));
-                        }
-                    }
-                    Some(p) => {
-                        if v < p {
-                            structural = Some(format!(
-                                "{name}: offsets not monotone at index {index} ({p} then {v})"
-                            ));
-                        } else if v > p {
-                            // Nonempty list: does its element byte range
-                            // cross a page boundary?
-                            let lo_byte = p * 4;
-                            let hi_byte = v * 4 - 1;
-                            if lo_byte / ps != hi_byte / ps {
-                                spans.push((p, v));
-                            }
-                        }
-                    }
+    scan(adaptor, seg, name, |chunk| {
+        for v in words::<u64>(chunk) {
+            match prev {
+                None if v != 0 => {
+                    return Err(IoError::Format(format!(
+                        "{name}: first offset is {v}, expected 0"
+                    )))
                 }
-                if let Some(vals) = &mut values {
-                    vals.push(v);
+                Some(p) if v < p => {
+                    return Err(IoError::Format(format!(
+                        "{name}: offsets not monotone at index {index} ({p} then {v})"
+                    )))
                 }
+                // Nonempty list: does its element byte range cross a page
+                // boundary?
+                Some(p) if v > p && p * 4 / ps != (v * 4 - 1) / ps => spans.push((p, v)),
+                _ => {}
             }
             prev = Some(v);
             index += 1;
         }
-        read += take as u64;
-    }
-    let checksum = sum.finish();
-    if checksum != seg.checksum {
-        return Err(IoError::Format(format!(
-            "{name} checksum mismatch: stored {:#018x}, computed {checksum:#018x}",
-            seg.checksum
-        )));
-    }
-    if let Some(msg) = structural {
-        return Err(IoError::Format(msg));
-    }
+        if let Some(vals) = &mut values {
+            vals.extend(words::<u64>(chunk));
+        }
+        Ok(())
+    })?;
     if prev != Some(m) {
         return Err(IoError::Format(format!(
             "{name}: final offset {prev:?} does not equal m = {m}"
@@ -406,265 +458,185 @@ fn scan_offsets(
     Ok(OffsetScan { spans, values })
 }
 
-/// The little-endian node ids of `bytes`, one per 4-byte word.
-fn ids(bytes: &[u8]) -> impl Iterator<Item = NodeId> + '_ {
-    bytes.chunks_exact(4).map(|word| {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(word);
-        NodeId::from_le_bytes(a)
-    })
-}
-
-/// Rejects any id `>= n` in `bytes`. One max-fold bounds-checks the whole
-/// chunk; only a failing chunk is rescanned, to name its first
-/// out-of-range id.
-fn check_ids(bytes: &[u8], n: usize, name: &str) -> Result<(), IoError> {
-    let max = ids(bytes).fold(0, NodeId::max);
-    if bytes.len() >= 4 && max as usize >= n {
-        let t = ids(bytes).find(|&t| t as usize >= n).unwrap_or(max);
-        return Err(IoError::Format(format!(
-            "{name}: node id {t} out of range (n = {n})"
-        )));
-    }
-    Ok(())
-}
-
-/// Decodes the node ids of `bytes` onto `into` once [`check_ids`] has
-/// passed them; on error `into` is left as it was.
-fn decode_u32_checked(
-    bytes: &[u8],
-    n: usize,
-    name: &str,
-    into: &mut Vec<NodeId>,
-) -> Result<(), IoError> {
-    check_ids(bytes, n, name)?;
-    into.extend(ids(bytes));
-    Ok(())
-}
-
-/// Streams one element segment verifying its checksum and id bounds,
-/// optionally keeping the decoded values (pinning). As in
-/// [`scan_offsets`], an out-of-range id is reported only after the
-/// checksum verdict.
+/// Scans element segment `id`: checksum, every id `< n`, and the decoded
+/// ids if pinned.
 fn scan_elements(
     adaptor: &dyn Adaptor,
-    seg: &SegmentDesc,
-    name: &str,
-    n: usize,
+    sb: &Superblock,
+    id: SegmentId,
     pin: bool,
 ) -> Result<Option<Vec<NodeId>>, IoError> {
-    let mut sum = Xxh64::new();
-    let mut values = if pin {
-        Some(Vec::with_capacity((seg.len / 4) as usize))
-    } else {
-        None
-    };
-    let mut out_of_range: Option<IoError> = None;
-    let mut read = 0u64;
-    let mut buf = vec![0u8; SCAN_CHUNK.min(seg.len as usize)];
-    while read < seg.len {
-        let take = (seg.len - read).min(SCAN_CHUNK as u64) as usize;
-        let chunk = &mut buf[..take];
-        adaptor.read_at(seg.offset + read, chunk)?;
-        sum.update(chunk);
-        if out_of_range.is_none() {
-            out_of_range = match &mut values {
-                Some(into) => decode_u32_checked(chunk, n, name, into),
-                None => check_ids(chunk, n, name),
-            }
-            .err();
-        }
-        read += take as u64;
-    }
-    let checksum = sum.finish();
-    if checksum != seg.checksum {
-        return Err(IoError::Format(format!(
-            "{name} checksum mismatch: stored {:#018x}, computed {checksum:#018x}",
-            seg.checksum
-        )));
-    }
-    match out_of_range {
-        Some(e) => Err(e),
-        None => Ok(values),
-    }
+    let (name, seg, n) = (id.name(), &sb.segs[id as usize], sb.n);
+    let mut values = pin.then(|| Vec::with_capacity((seg.len / 4) as usize));
+    scan(adaptor, seg, name, |chunk| match &mut values {
+        Some(into) => decode_checked(chunk, n, name, into),
+        None => check_words::<NodeId>(chunk, n, name),
+    })?;
+    Ok(values)
 }
 
 // ---------------------------------------------------------------------------
-// Segment readers
+// Segments
 // ---------------------------------------------------------------------------
 
-/// One offset array: fully pinned in RAM, or paged over the adaptor.
+/// One segment as a table of pages of `W` words, each decoded on first
+/// touch into a write-once ([`OnceLock`]) slot. No eviction — the budget
+/// bounds what is *pinned*; faulted pages are the cache layer above the
+/// adaptor.
+///
+/// A pinned segment is the same table with **one page spanning the
+/// segment**, filled at open from the values the verification scan
+/// decoded: it never faults, and no list in it crosses a page boundary.
+/// An unpinned element segment also holds the spill table: the lists that
+/// do cross one, materialised at open and sorted by starting index, so
+/// every list is one contiguous slice.
 #[derive(Debug)]
-enum OffsetSeg {
-    Pinned {
-        data: Box<[u64]>,
-        counters: Arc<TierCounters>,
-    },
-    Paged(PagedU64),
-}
-
-impl OffsetSeg {
-    fn get(&self, i: usize) -> Result<u64, IoError> {
-        match self {
-            OffsetSeg::Pinned { data, counters } => {
-                TierCounters::bump(&counters.pinned_reads);
-                data.get(i)
-                    .copied()
-                    .ok_or_else(|| IoError::Format(format!("offset index {i} out of range")))
-            }
-            OffsetSeg::Paged(p) => p.get(i),
-        }
-    }
-}
-
-/// A paged `u64` array: fixed-size pages decoded on first touch into a
-/// write-once ([`OnceLock`]) page table. No eviction — the budget bounds
-/// what is *pinned*; faulted pages are the cache layer above the adaptor.
-#[derive(Debug)]
-struct PagedU64 {
+struct Segment<W> {
     adaptor: Arc<dyn Adaptor>,
+    name: &'static str,
     file_offset: u64,
-    len: u64,
-    page_size: u64,
-    pages: Vec<OnceLock<Box<[u64]>>>,
+    /// Length in words.
+    words: u64,
+    /// log2 of the words per page.
+    page_shift: u32,
+    /// Every word is `< bound` (`n` for node ids, `m + 1` for offsets);
+    /// checked again at fault time, since an `fs` or `mmap` file can
+    /// change after open.
+    bound: u64,
+    pinned: bool,
+    pages: Box<[OnceLock<Box<[W]>>]>,
+    spill: Box<[(u64, Box<[W]>)]>,
     counters: Arc<TierCounters>,
 }
 
-impl PagedU64 {
-    fn page(&self, idx: usize) -> Result<&[u64], IoError> {
+impl<W: Word> Segment<W> {
+    /// Segment `id` of the file `sb` describes: pinned if the scan kept
+    /// its `values`, else paged with the lists `spans` spilled.
+    fn new(
+        adaptor: &Arc<dyn Adaptor>,
+        sb: &Superblock,
+        id: SegmentId,
+        values: Option<Vec<W>>,
+        spans: &[(u64, u64)],
+        counters: &Arc<TierCounters>,
+    ) -> Result<Self, IoError> {
+        let desc = &sb.segs[id as usize];
+        let bound = match id {
+            SegmentId::OutOffsets | SegmentId::InOffsets => sb.m + 1,
+            SegmentId::OutTargets | SegmentId::InSources => sb.n,
+        };
+        let name = id.name();
+        let words = desc.len / W::BYTES as u64;
+        let pinned = values.is_some();
+        let (page_shift, pages, spill) = match values {
+            Some(values) => (
+                words.next_power_of_two().trailing_zeros(),
+                vec![OnceLock::from(values.into_boxed_slice())],
+                Vec::new(),
+            ),
+            None => {
+                // `spans` is in ascending `lo` order, so the table is
+                // binary-searchable as is. Spilled ids bypass the
+                // fault-time page checks, so they are checked here.
+                let mut spill = Vec::with_capacity(spans.len());
+                for &(lo, hi) in spans {
+                    let mut buf = vec![0u8; (hi - lo) as usize * W::BYTES];
+                    adaptor.read_at(desc.offset + lo * W::BYTES as u64, &mut buf)?;
+                    let mut vals = Vec::with_capacity(buf.len() / W::BYTES);
+                    decode_checked(&buf, bound, name, &mut vals)?;
+                    spill.push((lo, vals.into_boxed_slice()));
+                }
+                let pages = (0..desc.len.div_ceil(sb.page_size)).map(|_| OnceLock::new());
+                (
+                    (sb.page_size / W::BYTES as u64).trailing_zeros(),
+                    pages.collect(),
+                    spill,
+                )
+            }
+        };
+        Ok(Self {
+            adaptor: adaptor.clone(),
+            name,
+            file_offset: desc.offset,
+            words,
+            page_shift,
+            bound,
+            pinned,
+            pages: pages.into_boxed_slice(),
+            spill: spill.into_boxed_slice(),
+            counters: counters.clone(),
+        })
+    }
+
+    /// Page `idx`, faulted in through the adaptor on first touch.
+    fn page(&self, idx: u64) -> Result<&[W], IoError> {
         let slot = self
             .pages
-            .get(idx)
-            .ok_or_else(|| IoError::Format(format!("offset page {idx} out of range")))?;
-        if slot.get().is_none() {
-            let start = idx as u64 * self.page_size;
-            let take = (self.len - start).min(self.page_size) as usize;
-            let mut buf = vec![0u8; take];
-            self.adaptor.read_at(self.file_offset + start, &mut buf)?;
-            TierCounters::bump(&self.counters.adaptor_reads);
-            TierCounters::add(&self.counters.adaptor_bytes, take as u64);
-            let mut vals = Vec::with_capacity(take / 8);
-            for word in buf.chunks_exact(8) {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(word);
-                vals.push(u64::from_le_bytes(a));
+            .get(idx as usize)
+            .ok_or_else(|| IoError::Format(format!("{}: page {idx} out of range", self.name)))?;
+        match slot.get() {
+            Some(page) => {
+                let c = &self.counters;
+                TierCounters::bump(if self.pinned {
+                    &c.pinned_reads
+                } else {
+                    &c.page_hits
+                });
+                Ok(page)
             }
-            // First thread to decode wins; a racing thread decoded the
-            // same immutable bytes, so the loser's copy is just dropped.
-            if slot.set(vals.into_boxed_slice()).is_ok() {
-                TierCounters::bump(&self.counters.page_faults);
-            }
-        } else {
-            TierCounters::bump(&self.counters.page_hits);
+            None => self.fault(idx, slot),
+        }
+    }
+
+    #[cold]
+    fn fault<'s>(&self, idx: u64, slot: &'s OnceLock<Box<[W]>>) -> Result<&'s [W], IoError> {
+        let page_words = 1u64 << self.page_shift;
+        let start = idx * page_words;
+        let mut buf = vec![0u8; (self.words - start).min(page_words) as usize * W::BYTES];
+        self.adaptor
+            .read_at(self.file_offset + start * W::BYTES as u64, &mut buf)?;
+        TierCounters::bump(&self.counters.adaptor_reads);
+        TierCounters::add(&self.counters.adaptor_bytes, buf.len() as u64);
+        let mut vals = Vec::with_capacity(buf.len() / W::BYTES);
+        decode_checked(&buf, self.bound, self.name, &mut vals)?;
+        // First thread to decode wins; a racing thread decoded the same
+        // immutable bytes, so the loser's copy is just dropped.
+        if slot.set(vals.into_boxed_slice()).is_ok() {
+            TierCounters::bump(&self.counters.page_faults);
         }
         match slot.get() {
-            Some(p) => Ok(p),
+            Some(page) => Ok(page),
             // Unreachable: the slot was just filled above.
             None => Err(IoError::Format("page slot empty after fill".into())),
         }
     }
 
-    fn get(&self, i: usize) -> Result<u64, IoError> {
-        let byte = i as u64 * 8;
-        if byte + 8 > self.len {
-            return Err(IoError::Format(format!("offset index {i} out of range")));
-        }
-        let page = self.page((byte / self.page_size) as usize)?;
-        let within = ((byte % self.page_size) / 8) as usize;
+    /// Word `i`.
+    fn get(&self, i: u64) -> Result<W, IoError> {
+        let page = self.page(i >> self.page_shift)?;
+        let within = (i & ((1 << self.page_shift) - 1)) as usize;
         page.get(within)
             .copied()
-            .ok_or_else(|| IoError::Format(format!("offset index {i} past decoded page end")))
-    }
-}
-
-/// One element (node id) array: fully pinned, or paged with a spill table
-/// for lists that cross page boundaries.
-#[derive(Debug)]
-enum ElemSeg {
-    Pinned {
-        data: Box<[NodeId]>,
-        counters: Arc<TierCounters>,
-    },
-    Paged(PagedU32),
-}
-
-impl ElemSeg {
-    fn slice(&self, lo: u64, hi: u64) -> Result<&[NodeId], IoError> {
-        match self {
-            ElemSeg::Pinned { data, counters } => {
-                TierCounters::bump(&counters.pinned_reads);
-                data.get(lo as usize..hi as usize).ok_or_else(|| {
-                    IoError::Format(format!("element range {lo}..{hi} out of range"))
-                })
-            }
-            ElemSeg::Paged(p) => p.slice(lo, hi),
-        }
-    }
-}
-
-/// A paged `u32` array, plus the spill table of boundary-crossing lists
-/// materialised at open (sorted by starting element index).
-#[derive(Debug)]
-struct PagedU32 {
-    adaptor: Arc<dyn Adaptor>,
-    file_offset: u64,
-    len: u64,
-    page_size: u64,
-    n: usize,
-    name: &'static str,
-    pages: Vec<OnceLock<Box<[NodeId]>>>,
-    spill: Box<[(u64, Box<[NodeId]>)]>,
-    counters: Arc<TierCounters>,
-}
-
-impl PagedU32 {
-    fn page(&self, idx: usize) -> Result<&[NodeId], IoError> {
-        let slot = self
-            .pages
-            .get(idx)
-            .ok_or_else(|| IoError::Format(format!("element page {idx} out of range")))?;
-        if slot.get().is_none() {
-            let start = idx as u64 * self.page_size;
-            let take = (self.len - start).min(self.page_size) as usize;
-            let mut buf = vec![0u8; take];
-            self.adaptor.read_at(self.file_offset + start, &mut buf)?;
-            TierCounters::bump(&self.counters.adaptor_reads);
-            TierCounters::add(&self.counters.adaptor_bytes, take as u64);
-            let mut vals = Vec::with_capacity(take / 4);
-            decode_u32_checked(&buf, self.n, self.name, &mut vals)?;
-            // First thread to decode wins (immutable bytes; see PagedU64).
-            if slot.set(vals.into_boxed_slice()).is_ok() {
-                TierCounters::bump(&self.counters.page_faults);
-            }
-        } else {
-            TierCounters::bump(&self.counters.page_hits);
-        }
-        match slot.get() {
-            Some(p) => Ok(p),
-            // Unreachable: the slot was just filled above.
-            None => Err(IoError::Format("page slot empty after fill".into())),
-        }
+            .ok_or_else(|| IoError::Format(format!("{}: index {i} out of range", self.name)))
     }
 
-    fn slice(&self, lo: u64, hi: u64) -> Result<&[NodeId], IoError> {
+    /// Words `lo..hi`: part of one page, or a spilled list crossing a page
+    /// boundary.
+    fn slice(&self, lo: u64, hi: u64) -> Result<&[W], IoError> {
         if lo == hi {
             return Ok(&[]);
         }
-        if lo > hi || hi * 4 > self.len {
+        if lo > hi || hi > self.words {
             return Err(IoError::Format(format!(
                 "{}: element range {lo}..{hi} out of range",
                 self.name
             )));
         }
-        let lo_byte = lo * 4;
-        let hi_byte = hi * 4 - 1;
-        let p0 = lo_byte / self.page_size;
-        let p1 = hi_byte / self.page_size;
-        if p0 == p1 {
-            let page = self.page(p0 as usize)?;
-            let start = ((lo_byte % self.page_size) / 4) as usize;
+        let page = lo >> self.page_shift;
+        if page == (hi - 1) >> self.page_shift {
+            let start = (lo & ((1 << self.page_shift) - 1)) as usize;
             let want = (hi - lo) as usize;
-            page.get(start..start + want).ok_or_else(|| {
+            self.page(page)?.get(start..start + want).ok_or_else(|| {
                 IoError::Format(format!(
                     "{}: range {lo}..{hi} past decoded page end",
                     self.name
@@ -688,58 +660,25 @@ impl PagedU32 {
 // ---------------------------------------------------------------------------
 
 /// Options for [`DiskGraph::open`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DiskGraphOptions {
-    /// RAM budget for pinning segments, in bytes. `0` leaves everything on
-    /// the storage tier (the page cache and spill table still use memory
-    /// proportional to the *touched* working set); `u64::MAX` pins the
-    /// whole graph.
+    /// RAM budget for pinning segments, in bytes. `0` (the default) leaves
+    /// everything on the storage tier (the page cache and spill table
+    /// still use memory proportional to the *touched* working set);
+    /// `u64::MAX` pins the whole graph.
     pub budget_bytes: u64,
-    /// Verify element-segment checksums and id bounds at open by streaming
-    /// them once. Off, corruption in unpinned element pages is still
-    /// caught at fault time by per-page id bounds checks, but a checksum
-    /// mismatch goes undetected until (unless) the damaged page is
-    /// touched. Offset segments are always fully verified.
-    pub verify: bool,
-}
-
-impl Default for DiskGraphOptions {
-    fn default() -> Self {
-        Self {
-            budget_bytes: 0,
-            verify: true,
-        }
-    }
 }
 
 impl DiskGraphOptions {
-    /// Fully disk-resident: nothing pinned, full verification.
-    pub fn disk_resident() -> Self {
-        Self::default()
-    }
-
     /// Everything pinned in RAM (the disk file becomes a warm backing
     /// copy): the control configuration benchmarks compare tiers against.
     pub fn fully_pinned() -> Self {
-        Self {
-            budget_bytes: u64::MAX,
-            verify: true,
-        }
+        Self::with_budget(u64::MAX)
     }
 
     /// Pin the most beneficial segments that fit in `budget_bytes`.
     pub fn with_budget(budget_bytes: u64) -> Self {
-        Self {
-            budget_bytes,
-            verify: true,
-        }
-    }
-
-    /// Disables the open-time element checksum pass (see
-    /// [`verify`](Self::verify)).
-    pub fn no_verify(mut self) -> Self {
-        self.verify = false;
-        self
+        Self { budget_bytes }
     }
 }
 
@@ -747,12 +686,13 @@ impl DiskGraphOptions {
 /// without deserialising the file.
 ///
 /// Neighbour resolution reads two offset words and one element range, each
-/// served from (in order of preference) a pinned segment, an
-/// already-faulted page, or the adaptor. All state mutated after open is
-/// behind [`OnceLock`]s and atomics, so a `DiskGraph` is `Send + Sync` and
-/// shared freely across reader threads — queries against it are
-/// bit-identical to the same queries against the [`CsrGraph`] it was
-/// written from (pinned by `tests/prop_disk.rs`).
+/// from a segment's page table: a pinned segment's one page, an
+/// already-faulted page, a spilled list, or a page faulted in through the
+/// adaptor. All state mutated after open is behind [`OnceLock`]s and
+/// atomics, so a `DiskGraph` is `Send + Sync` and shared freely across
+/// reader threads — queries against it are bit-identical to the same
+/// queries against the [`CsrGraph`] it was written from (pinned by
+/// `tests/prop_disk.rs`).
 ///
 /// The infallible [`GraphView`] accessors panic on a storage fault (the
 /// contract has no error channel); callers that want typed errors use
@@ -764,18 +704,18 @@ pub struct DiskGraph {
     n: usize,
     m: usize,
     page_size: u64,
-    out_offsets: OffsetSeg,
-    out_targets: ElemSeg,
-    in_offsets: OffsetSeg,
-    in_sources: ElemSeg,
+    out_offsets: Segment<u64>,
+    out_targets: Segment<NodeId>,
+    in_offsets: Segment<u64>,
+    in_sources: Segment<NodeId>,
     counters: Arc<TierCounters>,
     placement: PlacementReport,
 }
 
 impl DiskGraph {
-    /// Opens an `SRGD` graph through `adaptor`, validating the superblock,
-    /// both offset segments, and (with [`DiskGraphOptions::verify`]) both
-    /// element segments, then applying the placement plan.
+    /// Opens an `SRGD` graph through `adaptor`: validates the superblock,
+    /// streams all four segments once (checksums, offset structure, id
+    /// bounds), then applies the placement plan.
     pub fn open<A: Adaptor + 'static>(adaptor: A, opts: DiskGraphOptions) -> Result<Self, IoError> {
         Self::open_shared(Arc::new(adaptor), opts)
     }
@@ -833,176 +773,70 @@ impl DiskGraph {
             prev_end = end;
         }
 
-        let n = sb.n as usize;
         let m = usize::try_from(sb.m)
             .map_err(|_| IoError::Format(format!("edge count {} exceeds usize", sb.m)))?;
-        let seg_bytes = [
-            sb.segs[0].len,
-            sb.segs[1].len,
-            sb.segs[2].len,
-            sb.segs[3].len,
-        ];
-        let placement = plan_placement(seg_bytes, opts.budget_bytes);
+        let placement = plan_placement(sb.segs.map(|s| s.len), opts.budget_bytes);
         let counters = Arc::new(TierCounters::default());
-
-        // Offset segments: always streamed and validated in full.
-        let out_scan = scan_offsets(
-            &*adaptor,
-            &sb.segs[0],
-            SegmentId::OutOffsets.name(),
-            sb.m,
-            ps,
-            placement.is_pinned(SegmentId::OutOffsets),
-        )?;
-        let in_scan = scan_offsets(
-            &*adaptor,
-            &sb.segs[2],
-            SegmentId::InOffsets.name(),
-            sb.m,
-            ps,
-            placement.is_pinned(SegmentId::InOffsets),
-        )?;
-
-        let out_targets = Self::build_elem_seg(
-            &adaptor,
-            &sb.segs[1],
-            SegmentId::OutTargets,
-            n,
-            ps,
-            placement.is_pinned(SegmentId::OutTargets),
-            opts.verify,
-            &out_scan.spans,
-            &counters,
-        )?;
-        let in_sources = Self::build_elem_seg(
-            &adaptor,
-            &sb.segs[3],
-            SegmentId::InSources,
-            n,
-            ps,
-            placement.is_pinned(SegmentId::InSources),
-            opts.verify,
-            &in_scan.spans,
-            &counters,
-        )?;
-
-        let out_offsets = Self::build_offset_seg(&adaptor, &sb.segs[0], ps, out_scan, &counters);
-        let in_offsets = Self::build_offset_seg(&adaptor, &sb.segs[2], ps, in_scan, &counters);
-
+        use SegmentId::{InOffsets, InSources, OutOffsets, OutTargets};
+        let (a, pin) = (&*adaptor, |id| placement.is_pinned(id));
+        let out = scan_offsets(a, &sb, OutOffsets, pin(OutOffsets))?;
+        let ins = scan_offsets(a, &sb, InOffsets, pin(InOffsets))?;
+        let out_ids = scan_elements(a, &sb, OutTargets, pin(OutTargets))?;
+        let in_ids = scan_elements(a, &sb, InSources, pin(InSources))?;
         Ok(Self {
+            out_offsets: Segment::new(&adaptor, &sb, OutOffsets, out.values, &[], &counters)?,
+            out_targets: Segment::new(&adaptor, &sb, OutTargets, out_ids, &out.spans, &counters)?,
+            in_offsets: Segment::new(&adaptor, &sb, InOffsets, ins.values, &[], &counters)?,
+            in_sources: Segment::new(&adaptor, &sb, InSources, in_ids, &ins.spans, &counters)?,
             adaptor,
-            n,
+            n: sb.n as usize,
             m,
             page_size: ps,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
             counters,
             placement,
         })
     }
 
-    fn build_offset_seg(
-        adaptor: &Arc<dyn Adaptor>,
-        seg: &SegmentDesc,
-        ps: u64,
-        scan: OffsetScan,
-        counters: &Arc<TierCounters>,
-    ) -> OffsetSeg {
-        match scan.values {
-            Some(vals) => OffsetSeg::Pinned {
-                data: vals.into_boxed_slice(),
-                counters: counters.clone(),
-            },
-            None => OffsetSeg::Paged(PagedU64 {
-                adaptor: adaptor.clone(),
-                file_offset: seg.offset,
-                len: seg.len,
-                page_size: ps,
-                pages: (0..seg.len.div_ceil(ps)).map(|_| OnceLock::new()).collect(),
-                counters: counters.clone(),
-            }),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal open-time plumbing
-    fn build_elem_seg(
-        adaptor: &Arc<dyn Adaptor>,
-        seg: &SegmentDesc,
-        id: SegmentId,
-        n: usize,
-        ps: u64,
-        pin: bool,
-        verify: bool,
-        spans: &[(u64, u64)],
-        counters: &Arc<TierCounters>,
-    ) -> Result<ElemSeg, IoError> {
-        let name = id.name();
-        if pin {
-            let values = scan_elements(&**adaptor, seg, name, n, true)?;
-            let data = values.unwrap_or_default().into_boxed_slice();
-            return Ok(ElemSeg::Pinned {
-                data,
-                counters: counters.clone(),
-            });
-        }
-        if verify {
-            scan_elements(&**adaptor, seg, name, n, false)?;
-        }
-        // Materialise boundary-crossing lists so the query path can always
-        // hand out one contiguous slice. `spans` is produced in ascending
-        // `lo` order by the offset scan, so the table is binary-searchable
-        // as is. Spill ids are bounds-checked here even when `verify` is
-        // off — they bypass the fault-time page checks.
-        let mut spill = Vec::with_capacity(spans.len());
-        for &(lo, hi) in spans {
-            let take = ((hi - lo) * 4) as usize;
-            let mut buf = vec![0u8; take];
-            adaptor.read_at(seg.offset + lo * 4, &mut buf)?;
-            let mut vals = Vec::with_capacity(take / 4);
-            decode_u32_checked(&buf, n, name, &mut vals)?;
-            spill.push((lo, vals.into_boxed_slice()));
-        }
-        Ok(ElemSeg::Paged(PagedU32 {
-            adaptor: adaptor.clone(),
-            file_offset: seg.offset,
-            len: seg.len,
-            page_size: ps,
-            n,
-            name,
-            pages: (0..seg.len.div_ceil(ps)).map(|_| OnceLock::new()).collect(),
-            spill: spill.into_boxed_slice(),
-            counters: counters.clone(),
-        }))
-    }
-
     /// Out-neighbours of `v`, with storage faults surfaced as errors.
     pub fn try_out_neighbors(&self, v: NodeId) -> Result<&[NodeId], IoError> {
-        let vi = v as usize;
-        if vi >= self.n {
-            return Err(IoError::Format(format!(
-                "node {v} out of range (n = {})",
-                self.n
-            )));
-        }
-        let lo = self.out_offsets.get(vi)?;
-        let hi = self.out_offsets.get(vi + 1)?;
+        self.check_node(v)?;
+        let lo = self.out_offsets.get(v as u64)?;
+        let hi = self.out_offsets.get(v as u64 + 1)?;
         self.out_targets.slice(lo, hi)
     }
 
     /// In-neighbours of `v`, with storage faults surfaced as errors.
     pub fn try_in_neighbors(&self, v: NodeId) -> Result<&[NodeId], IoError> {
-        let vi = v as usize;
-        if vi >= self.n {
+        self.check_node(v)?;
+        let lo = self.in_offsets.get(v as u64)?;
+        let hi = self.in_offsets.get(v as u64 + 1)?;
+        self.in_sources.slice(lo, hi)
+    }
+
+    fn check_node(&self, v: NodeId) -> Result<(), IoError> {
+        if v as usize >= self.n {
             return Err(IoError::Format(format!(
                 "node {v} out of range (n = {})",
                 self.n
             )));
         }
-        let lo = self.in_offsets.get(vi)?;
-        let hi = self.in_offsets.get(vi + 1)?;
-        self.in_sources.slice(lo, hi)
+        Ok(())
+    }
+
+    /// Copies the graph into a standalone [`CsrGraph`], checking the
+    /// invariants open does not (every list sorted and duplicate-free, the
+    /// two directions describing the same edges): a file that fails them
+    /// is an error, never a graph.
+    pub fn to_csr(&self) -> Result<CsrGraph, IoError> {
+        let nodes = || (0..self.n).map(|v| v as NodeId);
+        let outs: Vec<&[NodeId]> = nodes()
+            .map(|v| self.try_out_neighbors(v))
+            .collect::<Result<_, _>>()?;
+        let ins: Vec<&[NodeId]> = nodes()
+            .map(|v| self.try_in_neighbors(v))
+            .collect::<Result<_, _>>()?;
+        CsrGraph::from_lists_checked(self.m, outs.into_iter(), ins.into_iter())
+            .map_err(IoError::Format)
     }
 
     /// The page size of the underlying file, in bytes.
@@ -1118,14 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn no_verify_round_trips_too() {
-        let g = test_graph();
-        let path = write_test_file("noverify.srgd", &g, 256);
-        let dg = DiskGraph::open_mem(&path, DiskGraphOptions::disk_resident().no_verify()).unwrap();
-        assert_matches_csr(&dg, &g);
-    }
-
-    #[test]
     fn empty_graph_round_trips() {
         let g = CsrGraph::empty(5);
         let path = write_test_file("empty.srgd", &g, 256);
@@ -1136,23 +962,12 @@ mod tests {
     }
 
     #[test]
-    fn convert_binary_is_the_srg1_seam() {
-        let g = test_graph();
-        let src = temp_path("seam.srg1");
-        crate::io::save_binary(&g, &src).unwrap();
-        let dst = temp_path("seam.srgd");
-        convert_binary(&src, &dst, DEFAULT_PAGE_SIZE).unwrap();
-        let dg = DiskGraph::open_mem(&dst, DiskGraphOptions::default()).unwrap();
-        assert_matches_csr(&dg, &g);
-    }
-
-    #[test]
     fn placement_respects_budget_and_counters_tell_the_story() {
         let g = test_graph();
         let path = write_test_file("placement.srgd", &g, 256);
 
         // Zero budget: nothing pinned; queries fault pages.
-        let cold = DiskGraph::open_fs(&path, DiskGraphOptions::disk_resident()).unwrap();
+        let cold = DiskGraph::open_fs(&path, DiskGraphOptions::default()).unwrap();
         assert_eq!(cold.placement().pinned_segments(), 0);
         assert_eq!(cold.stats(), TierStats::default(), "open counts nothing");
         let _ = cold.out_neighbors(7);
@@ -1188,7 +1003,7 @@ mod tests {
     fn warm_reads_stop_faulting() {
         let g = test_graph();
         let path = write_test_file("warm.srgd", &g, 256);
-        let dg = DiskGraph::open_mem(&path, DiskGraphOptions::disk_resident()).unwrap();
+        let dg = DiskGraph::open_mem(&path, DiskGraphOptions::default()).unwrap();
         for v in 0..dg.num_nodes() as NodeId {
             let _ = dg.out_neighbors(v);
         }
@@ -1211,7 +1026,7 @@ mod tests {
         let edges: Vec<(NodeId, NodeId)> = (0..200).map(|t| (0, t + 1)).collect();
         let g = CsrGraph::from_sorted_edges(n, &edges);
         let path = write_test_file("spill.srgd", &g, 256);
-        let dg = DiskGraph::open_mem(&path, DiskGraphOptions::disk_resident()).unwrap();
+        let dg = DiskGraph::open_mem(&path, DiskGraphOptions::default()).unwrap();
         assert_eq!(dg.out_neighbors(0), g.out_neighbors(0));
         assert!(dg.stats().spill_hits > 0, "{:?}", dg.stats());
     }
@@ -1380,35 +1195,55 @@ mod tests {
             .iter()
             .flat_map(|t| t.to_le_bytes())
             .collect();
-        let mut into = vec![1];
-        let err = decode_u32_checked(&ids, 8, "out_targets", &mut into).unwrap_err();
+        let mut into: Vec<NodeId> = vec![1];
+        let err = decode_checked(&ids, 8, "out_targets", &mut into).unwrap_err();
         assert!(err.to_string().contains("node id 9 out of range"), "{err}");
         assert_eq!(into, [1], "a failing chunk decodes nothing");
-        decode_u32_checked(&ids, 13, "out_targets", &mut into).unwrap();
+        decode_checked(&ids, 13, "out_targets", &mut into).unwrap();
         assert_eq!(into, [1, 3, 9, 7, 12, 4]);
-        decode_u32_checked(&[], 0, "out_targets", &mut into).unwrap();
+        decode_checked(&[], 0, "out_targets", &mut into).unwrap();
     }
 
     #[test]
-    fn out_of_range_target_is_caught_at_fault_time_without_verify() {
-        let mut bytes = valid_file_bytes("oob-lazy.srgd");
+    fn out_of_range_target_is_caught_at_fault_time() {
+        // Open verifies the file; then it changes on disk under the open
+        // graph, and the fault-time page check is what catches it.
+        let g = test_graph();
+        let path = write_test_file("oob-lazy.srgd", &g, 256);
+        let dg = DiskGraph::open_fs(&path, DiskGraphOptions::default()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
         let seg1_off = get_u64(&bytes, 32 + 24) as usize;
         bytes[seg1_off..seg1_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        refresh_checksums(&mut bytes, 1);
-        let dg = DiskGraph::open(
-            MemAdaptor::new(bytes),
-            DiskGraphOptions::disk_resident().no_verify(),
-        )
-        .unwrap();
+        std::fs::write(&path, &bytes).unwrap();
         // Find the node owning element 0 of out_targets (first non-empty
         // out-list) — its read must fail with a typed error, not a panic.
-        let g = test_graph();
         let v = (0..g.num_nodes() as NodeId)
             .find(|&v| !g.out_neighbors(v).is_empty())
             .unwrap();
         let err = dg.try_out_neighbors(v).unwrap_err();
         assert!(matches!(err, IoError::Format(_)), "{err}");
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn to_csr_copies_the_graph_and_rejects_what_open_does_not_check() {
+        let g = test_graph();
+        let path = write_test_file("to-csr.srgd", &g, 256);
+        for budget in [0, u64::MAX] {
+            let dg = DiskGraph::open_mem(&path, DiskGraphOptions::with_budget(budget)).unwrap();
+            assert_eq!(dg.to_csr().unwrap(), g, "budget {budget}");
+        }
+        // Swap the first two ids of an out-list: both stay in range, so
+        // with its checksum refreshed the file opens, unsorted.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let v = (0..g.num_nodes())
+            .find(|&v| g.out_neighbors(v as NodeId).len() >= 2)
+            .unwrap();
+        let at = get_u64(&bytes, 32 + 24) as usize + g.raw_out().0[v] * 4;
+        bytes[at..at + 8].rotate_left(4);
+        refresh_checksums(&mut bytes, 1);
+        let err = open_bytes(bytes).unwrap().to_csr().unwrap_err();
+        assert!(err.to_string().contains("not sorted"), "{err}");
     }
 
     #[test]

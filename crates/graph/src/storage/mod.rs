@@ -18,8 +18,8 @@
 //!   ([`TierStats`]) for observability.
 //!
 //! The full layout, failure-mode, and placement story lives in
-//! `docs/STORAGE.md`; the conversion seam from the existing `SRG1` binary
-//! snapshot format is [`disk::convert_binary`].
+//! `docs/STORAGE.md`. `SRGD` is the workspace's one binary graph format:
+//! the dataset registry caches its graphs in it too.
 //!
 //! [`GraphView`]: crate::view::GraphView
 
@@ -29,8 +29,7 @@ pub mod placement;
 
 pub use adaptor::{Adaptor, FsAdaptor, MemAdaptor, MmapAdaptor};
 pub use disk::{
-    convert_binary, write_disk_graph, DiskGraph, DiskGraphOptions, DEFAULT_PAGE_SIZE,
-    MAX_PAGE_SIZE, MIN_PAGE_SIZE,
+    write_disk_graph, DiskGraph, DiskGraphOptions, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
 pub use placement::{PlacementReport, SegmentId, SegmentPlacement, TierStats};
 

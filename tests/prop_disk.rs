@@ -231,7 +231,7 @@ fn page_spanning_hub_round_trips_unpinned() {
         .build();
     let path = scratch_file();
     write_disk_graph(&g, &path, 256).unwrap();
-    let opts = DiskGraphOptions::disk_resident();
+    let opts = DiskGraphOptions::default();
     for (disk, backend) in [
         (DiskGraph::open_mem(&path, opts).unwrap(), "mem"),
         (DiskGraph::open_fs(&path, opts).unwrap(), "fs"),

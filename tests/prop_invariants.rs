@@ -3,6 +3,8 @@
 use proptest::prelude::*;
 use simpush::{Config, SimPush};
 use simrank_suite::baselines::power_method;
+use simrank_suite::graph::storage::{write_disk_graph, DEFAULT_PAGE_SIZE};
+use simrank_suite::graph::{DiskGraph, DiskGraphOptions};
 use simrank_suite::prelude::*;
 
 /// Strategy: a random directed graph as (n, edge list).
@@ -62,9 +64,12 @@ proptest! {
     #[test]
     fn csr_validates_and_round_trips_through_binary(g in arb_graph(40, 160)) {
         prop_assert!(g.validate().is_ok());
-        let bytes = simrank_suite::graph::io::to_binary(&g);
-        let back = simrank_suite::graph::io::from_binary(bytes).unwrap();
-        prop_assert_eq!(back, g);
+        let path = std::env::temp_dir()
+            .join(format!("simrank-prop-invariants-{}.srgd", std::process::id()));
+        write_disk_graph(&g, &path, DEFAULT_PAGE_SIZE).unwrap();
+        let back = DiskGraph::open_mem(&path, DiskGraphOptions::default()).and_then(|d| d.to_csr());
+        let _ = std::fs::remove_file(&path);
+        prop_assert_eq!(back.unwrap(), g);
     }
 
     #[test]
